@@ -64,18 +64,6 @@ class CascadeBatcher : public Batcher
     CascadeBatcher(const EventSource &src, const TemporalAdjacency &adj,
                    size_t train_end, Options opts);
 
-    /**
-     * @deprecated Construct over an EventSource instead (wrap a
-     * resident sequence in VectorEventSource, or pass the Dataset's
-     * source directly). Removed after one release.
-     */
-    [[deprecated("pass an EventSource (e.g. VectorEventSource)")]]
-    CascadeBatcher(const EventSequence &seq, const TemporalAdjacency &adj,
-                   size_t train_end, Options opts)
-        : CascadeBatcher(std::make_unique<VectorEventSource>(seq), adj,
-                         train_end, opts)
-    {}
-
     std::string name() const override;
     void reset() override;
     size_t next(size_t st) override;
@@ -130,17 +118,6 @@ class CascadeBatcher : public Batcher
     }
 
   private:
-    /** Adapter-owning delegate for the deprecated EventSequence
-     *  constructor: the wrapper must live as long as the diffuser. */
-    CascadeBatcher(std::unique_ptr<VectorEventSource> owned,
-                   const TemporalAdjacency &adj, size_t train_end,
-                   Options opts)
-        : CascadeBatcher(*owned, adj, train_end, opts)
-    {
-        ownedSrc_ = std::move(owned);
-    }
-
-    std::unique_ptr<VectorEventSource> ownedSrc_;
     Options opts_;
     size_t trainEnd_;
     std::unique_ptr<TgDiffuser> diffuser_;

@@ -10,10 +10,8 @@
  *
  * The public loader surface is `Dataset::open` / `Dataset::saveCsv` /
  * `Dataset::saveBinary` (graph/dataset.hh), which adds format
- * sniffing and the mmap event-log backend. The free functions below
- * are the pre-EventSource entry points, kept for one release as
- * deprecated shims; the `deprecated-api` lint rule keeps the tree
- * free of callers.
+ * sniffing and the mmap event-log backend; the functions below are
+ * its implementation.
  */
 
 #ifndef CASCADE_GRAPH_IO_HH
@@ -27,7 +25,7 @@ namespace cascade {
 
 namespace detail {
 
-/** Implementation behind Dataset::saveCsv and the deprecated shim. */
+/** Implementation behind Dataset::saveCsv. */
 bool saveCsvImpl(const EventSequence &seq, const std::string &path);
 /** Implementation behind Dataset::open(Csv); numNodes = max id + 1. */
 bool loadCsvImpl(EventSequence &seq, const std::string &path);
@@ -37,34 +35,6 @@ bool saveBinaryImpl(const EventSequence &seq, const std::string &path);
 bool loadBinaryImpl(EventSequence &seq, const std::string &path);
 
 } // namespace detail
-
-/** @deprecated Use Dataset::saveCsv. */
-[[deprecated("use Dataset::saveCsv")]] inline bool
-saveEventsCsv(const EventSequence &seq, const std::string &path)
-{
-    return detail::saveCsvImpl(seq, path);
-}
-
-/** @deprecated Use Dataset::open(path, Format::Csv). */
-[[deprecated("use Dataset::open")]] inline bool
-loadEventsCsv(EventSequence &seq, const std::string &path)
-{
-    return detail::loadCsvImpl(seq, path);
-}
-
-/** @deprecated Use Dataset::saveBinary. */
-[[deprecated("use Dataset::saveBinary")]] inline bool
-saveEventsBinary(const EventSequence &seq, const std::string &path)
-{
-    return detail::saveBinaryImpl(seq, path);
-}
-
-/** @deprecated Use Dataset::open(path, Format::Binary). */
-[[deprecated("use Dataset::open")]] inline bool
-loadEventsBinary(EventSequence &seq, const std::string &path)
-{
-    return detail::loadBinaryImpl(seq, path);
-}
 
 } // namespace cascade
 

@@ -7,13 +7,12 @@
  * The TrainingSession opens one span per stage of every batch (epoch >
  * batch > boundary/model/feedback/guard/checkpoint), so a dumped trace
  * (`cascade_train --trace-out=run.json`) shows the per-stage timeline
- * that Figure 13b summarizes — and makes pipelining work (Cascade_EX
- * stage overlap, MSPipe-style staleness scheduling) visible once
- * stages start executing concurrently.
+ * that Figure 13b summarizes.
  *
  * Spans nest per thread: each thread keeps its own depth counter and
- * events carry the thread's stable tid, so concurrent stage timelines
- * render as separate tracks.
+ * events carry the thread's stable tid, so work on other threads —
+ * the session's background `checkpoint-write`, Cascade_EX's chunk
+ * prefetch — renders as separate tracks.
  */
 
 #ifndef CASCADE_OBS_TRACE_HH

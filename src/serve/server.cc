@@ -65,7 +65,13 @@ ServeSocketServer::start()
                     opts_.socketPath.c_str());
         return false;
     }
-    listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    // Non-blocking: every reader polls this one socket and then
+    // accepts, so all but one of the readers woken for a connection
+    // find the queue empty. They must get EAGAIN and poll again; a
+    // blocking accept() would park them where stop() cannot reach.
+    // Accepted sockets stay blocking (accept() does not inherit
+    // O_NONBLOCK on Linux).
+    listenFd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (listenFd_ < 0) {
         CASCADE_LOG("serve: socket() failed: %s",
                     std::strerror(errno));

@@ -596,36 +596,4 @@ unbindMetrics()
 
 } // namespace kernels
 
-/* ------------------------------------------------------------------ */
-/* Deprecated wrappers (one-release migration aid)                     */
-
-Tensor
-matmulRaw(const Tensor &a, const Tensor &b)
-{
-    return kernels::gemm(kernels::Trans::None, kernels::Trans::None, a,
-                         b);
-}
-
-Tensor
-matmulTransARaw(const Tensor &a, const Tensor &b)
-{
-    return kernels::gemm(kernels::Trans::Transpose,
-                         kernels::Trans::None, a, b);
-}
-
-Tensor
-matmulTransBRaw(const Tensor &a, const Tensor &b)
-{
-    return kernels::gemm(kernels::Trans::None,
-                         kernels::Trans::Transpose, a, b);
-}
-
-Tensor
-transposeRaw(const Tensor &a)
-{
-    Tensor out;
-    kernels::transpose(a, out);
-    return out;
-}
-
 } // namespace cascade

@@ -6,8 +6,7 @@
  * Design (DESIGN.md "Compute kernels"):
  *
  *  - One GEMM API. `gemm(ta, tb, A, B, out)` covers the four transpose
- *    combinations that used to be three ad-hoc entry points
- *    (`matmulRaw`, `matmulTransARaw`, `matmulTransBRaw`); `gemmAcc`
+ *    combinations that used to be three ad-hoc entry points; `gemmAcc`
  *    accumulates into `out` so backward passes scatter straight into
  *    gradient tensors without a temporary.
  *
@@ -147,22 +146,6 @@ void bindMetrics(obs::MetricsRegistry &registry);
 void unbindMetrics();
 
 } // namespace kernels
-
-/** @name Deprecated pre-kernels entry points
- * Thin wrappers kept for one release; new code calls kernels::gemm /
- * kernels::transpose. No caller inside this repository references the
- * transpose variants any more (enforced by tools/check.sh).
- */
-/** @{ */
-[[deprecated("use kernels::gemm(Trans::None, Trans::None, ...)")]]
-Tensor matmulRaw(const Tensor &a, const Tensor &b);
-[[deprecated("use kernels::gemm(Trans::Transpose, Trans::None, ...)")]]
-Tensor matmulTransARaw(const Tensor &a, const Tensor &b);
-[[deprecated("use kernels::gemm(Trans::None, Trans::Transpose, ...)")]]
-Tensor matmulTransBRaw(const Tensor &a, const Tensor &b);
-[[deprecated("use kernels::transpose")]]
-Tensor transposeRaw(const Tensor &a);
-/** @} */
 
 } // namespace cascade
 

@@ -67,7 +67,6 @@ void
 Mailbox::reset()
 {
     boxes_.clear();
-    appliedBatch_ = 0;
 }
 
 void
@@ -143,8 +142,6 @@ Mailbox::loadState(ByteReader &r)
         boxes.emplace(static_cast<NodeId>(node), std::move(box));
     }
     boxes_ = std::move(boxes);
-    // Transient pipeline watermark: restores happen at drain barriers.
-    appliedBatch_ = 0;
     return true;
 }
 

@@ -31,16 +31,9 @@ class ByteReader;
  * Concurrency contract (checked by TSan, not lockable): like
  * MemoryStore, a Mailbox carries no mutex — push/consume run in batch
  * order, which the deferred-update semantics (consume-before-push
- * within one batch) and bit-determinism both rely on. The synchronous
- * session owns it from the training thread; the asynchronous pipeline
- * (DESIGN.md §12) serializes the model thread's gathers against the
- * update worker's pushes with the TrainingPipeline's single state
- * lock, and the appliedBatch() watermark below mirrors MemoryStore's
- * bounded-staleness accounting: a reader of batch j consumes mail
- * that is (j - appliedBatch()) batches stale, kept <= S by the
- * pipeline gate. The watermark is transient (cleared by reset() and
- * loadState(), never serialized — checkpoints only happen at drain
- * barriers with nothing in flight).
+ * within one batch) and bit-determinism both rely on. The training
+ * thread owns it outright; the session's background checkpoint
+ * writer only reads an encoded copy (DESIGN.md §12).
  */
 class Mailbox
 {
@@ -78,20 +71,6 @@ class Mailbox
     /** Drop every message (epoch restart). */
     void reset();
 
-    /** Batches whose messages have been pushed (pipeline watermark). */
-    uint64_t appliedBatch() const { return appliedBatch_; }
-
-    /** Advance the applied-messages watermark (monotonic). */
-    void
-    markBatchApplied(uint64_t applied)
-    {
-        if (applied > appliedBatch_)
-            appliedBatch_ = applied;
-    }
-
-    /** Restart the watermark (new pipeline segment; mail untouched). */
-    void clearStaleness() { appliedBatch_ = 0; }
-
     /** Deep copy for validation snapshots. */
     Mailbox clone() const { return *this; }
 
@@ -124,8 +103,6 @@ class Mailbox
     size_t slots_;
     size_t msgDim_;
     std::unordered_map<NodeId, NodeBox> boxes_;
-    /** Count of batches whose messages are in (pipeline segment). */
-    uint64_t appliedBatch_ = 0;
 };
 
 } // namespace cascade

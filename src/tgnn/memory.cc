@@ -9,7 +9,7 @@
 namespace cascade {
 
 MemoryStore::MemoryStore(size_t n, size_t dim)
-    : mem_(n, dim), lastUpdate_(n, 0.0), writerBatch_(n, 0)
+    : mem_(n, dim), lastUpdate_(n, 0.0)
 {}
 
 Tensor
@@ -35,7 +35,7 @@ MemoryStore::gatherDeltaT(const std::vector<NodeId> &nodes,
 
 std::vector<double>
 MemoryStore::write(const std::vector<NodeId> &nodes, const Tensor &values,
-                   double ts, uint64_t batch_stamp)
+                   double ts)
 {
     CASCADE_CHECK(values.rows() == nodes.size() &&
                       values.cols() == mem_.cols(),
@@ -49,17 +49,8 @@ MemoryStore::write(const std::vector<NodeId> &nodes, const Tensor &values,
         cos.push_back(kernels::cosineOverwrite(mem_.row(r), values.row(i),
                                                mem_.cols()));
         lastUpdate_[r] = ts;
-        if (batch_stamp != 0)
-            writerBatch_[r] = batch_stamp;
     }
     return cos;
-}
-
-void
-MemoryStore::clearStaleness()
-{
-    std::fill(writerBatch_.begin(), writerBatch_.end(), 0);
-    appliedBatch_ = 0;
 }
 
 void
@@ -73,7 +64,6 @@ MemoryStore::reset()
 {
     mem_.fill(0.0f);
     std::fill(lastUpdate_.begin(), lastUpdate_.end(), 0.0);
-    clearStaleness();
 }
 
 void
@@ -82,7 +72,6 @@ MemoryStore::initRandom(Rng &rng, float stddev)
     for (size_t i = 0; i < mem_.size(); ++i)
         mem_.data()[i] = static_cast<float>(rng.gaussian(0.0, stddev));
     std::fill(lastUpdate_.begin(), lastUpdate_.end(), 0.0);
-    clearStaleness();
 }
 
 void
@@ -110,10 +99,6 @@ MemoryStore::loadState(ByteReader &r)
         return false;
     mem_ = std::move(mem);
     lastUpdate_ = std::move(ts);
-    // Version stamps are transient pipeline bookkeeping: a checkpoint
-    // is only ever taken at a drain barrier (nothing in flight), so a
-    // restored store starts a fresh staleness epoch.
-    clearStaleness();
     return true;
 }
 

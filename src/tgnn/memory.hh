@@ -22,30 +22,15 @@ class ByteWriter;
 class ByteReader;
 
 /**
- * Dense per-node memory vectors with last-update timestamps and
- * per-node writer-batch version stamps.
+ * Dense per-node memory vectors with last-update timestamps.
  *
  * Concurrency contract (checked by TSan, not lockable): a MemoryStore
  * carries no mutex by design — gather/write/touch all mutate or read
  * rows in batch order, and the bit-determinism guarantee (DESIGN.md
  * §9) depends on that order being the program order of the training
- * loop. In the synchronous session the store is owned by the training
- * thread outright. In the asynchronous pipeline (DESIGN.md §12) the
- * model thread's reads and the update worker's writes are serialized
- * by the TrainingPipeline's single state lock, which also publishes
- * the version stamps below; the store itself stays lock-free so the
- * synchronous path pays nothing.
- *
- * Version stamps (bounded-staleness accounting): write() can stamp
- * each written node with the 1-based ordinal of the batch that
- * produced the value, and markBatchApplied() advances a store-wide
- * watermark of how many batches' writebacks have been applied. A
- * pipelined reader of batch j sees memory that is exactly
- * (j - appliedBatch()) batches stale; the pipeline's staleness gate
- * keeps that difference <= S. Stamps are transient pipeline
- * bookkeeping: reset()/loadState() clear them, and they are NOT
- * serialized (the drain-then-snapshot barrier guarantees every
- * checkpoint is taken with zero batches in flight).
+ * loop. The store belongs to the training thread outright; the
+ * session's background checkpoint writer only reads an encoded copy
+ * (DESIGN.md §12), and the serve engine publishes clones.
  */
 class MemoryStore
 {
@@ -66,34 +51,10 @@ class MemoryStore
     /**
      * Overwrite node rows from a BxD tensor and stamp their update
      * times; returns the cosine similarity between old and new memory
-     * per node (the SG-Filter signal). When batch_stamp is nonzero,
-     * each written node's version stamp is set to it (1-based batch
-     * ordinal; the pipeline's staleness accounting).
+     * per node (the SG-Filter signal).
      */
     std::vector<double> write(const std::vector<NodeId> &nodes,
-                              const Tensor &values, double ts,
-                              uint64_t batch_stamp = 0);
-
-    /** Writer-batch stamp of a node (0 = untouched this segment). */
-    uint64_t
-    nodeBatch(NodeId n) const
-    {
-        return writerBatch_[static_cast<size_t>(n)];
-    }
-
-    /** Batches whose writeback has been applied (pipeline watermark). */
-    uint64_t appliedBatch() const { return appliedBatch_; }
-
-    /** Advance the applied-writeback watermark (monotonic). */
-    void
-    markBatchApplied(uint64_t applied)
-    {
-        if (applied > appliedBatch_)
-            appliedBatch_ = applied;
-    }
-
-    /** Clear version stamps + watermark (new pipeline segment). */
-    void clearStaleness();
+                              const Tensor &values, double ts);
 
     /** Stamp interaction time without changing the memory. */
     void touch(NodeId node, double ts);
@@ -133,10 +94,6 @@ class MemoryStore
   private:
     Tensor mem_;
     std::vector<double> lastUpdate_;
-    /** Per-node 1-based ordinal of the writing batch (0 = none). */
-    std::vector<uint64_t> writerBatch_;
-    /** Count of batches with writeback applied (pipeline segment). */
-    uint64_t appliedBatch_ = 0;
 };
 
 } // namespace cascade

@@ -457,9 +457,9 @@ StepResult
 TgnnModel::step(const EventSource &data, const TemporalAdjacency &adj,
                 size_t st, size_t ed, bool train)
 {
-    // The synchronous composition of the decomposed pipeline stages;
-    // the ordering (forward, backward+opt, writeback+messages) is the
-    // bit-determinism reference the S=0 pipeline must reproduce.
+    // The composition of the decomposed stages; the ordering
+    // (forward, backward+opt, writeback+messages) is the
+    // bit-determinism reference the sharded collective reproduces.
     Forward f = stepForward(data, adj, st, ed);
     if (train)
         stepBackward(f);
@@ -643,8 +643,7 @@ TgnnModel::stepBackward(Forward &f)
 }
 
 std::vector<double>
-TgnnModel::applyWriteback(const EventSource &data, PendingWriteback &wb,
-                          uint64_t batch_stamp)
+TgnnModel::applyWriteback(const EventSource &data, PendingWriteback &wb)
 {
     std::vector<double> cosines;
     if (!wb.active)
@@ -652,8 +651,7 @@ TgnnModel::applyWriteback(const EventSource &data, PendingWriteback &wb,
 
     // Write back consumed memories (recording SG-Filter cosines).
     if (!wb.nodes.empty())
-        cosines = memory_.write(wb.nodes, wb.values, wb.writeTs,
-                                batch_stamp);
+        cosines = memory_.write(wb.nodes, wb.values, wb.writeTs);
 
     // Generate this batch's messages (Eq. 2): payload is the other
     // endpoint's current memory (post-writeback) plus edge features.

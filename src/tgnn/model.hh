@@ -112,8 +112,8 @@ class TgnnModel
      * Deferred state mutation produced by a forward pass: the memory
      * rows to overwrite plus the message-generation range (Eq. 2).
      * Applying it is independent of backward/optimizer — the values
-     * are detached copies — which is what lets the pipeline overlap
-     * the memory+mailbox update with the gradient computation.
+     * are detached copies — so the sharded collective can carry it
+     * across workers and apply it after the merged update.
      */
     struct PendingWriteback
     {
@@ -139,8 +139,8 @@ class TgnnModel
 
     /**
      * The decomposed step() — forward only. Reads memory/mailbox and
-     * draws from the sampling RNG (callers serialize against
-     * applyWriteback; the pipeline does so with its state lock).
+     * draws from the sampling RNG; must not run concurrently with
+     * applyWriteback.
      */
     Forward stepForward(const EventSource &data,
                         const TemporalAdjacency &adj, size_t st,
@@ -203,21 +203,19 @@ class TgnnModel
     void stepBackward(Forward &f);
 
     /**
-     * Apply a deferred writeback: overwrite memory rows (stamping
-     * them with batch_stamp when nonzero) and generate the batch's
-     * messages. Must run in batch order; returns the SG-Filter
-     * cosines. wb.nodes is left intact for the caller's feedback.
+     * Apply a deferred writeback: overwrite memory rows and generate
+     * the batch's messages. Must run in batch order; returns the
+     * SG-Filter cosines. wb.nodes is left intact for the caller's
+     * feedback.
      */
     std::vector<double> applyWriteback(const EventSource &data,
-                                       PendingWriteback &wb,
-                                       uint64_t batch_stamp = 0);
+                                       PendingWriteback &wb);
 
     /** applyWriteback() over a resident sequence. */
     std::vector<double>
-    applyWriteback(const EventSequence &data, PendingWriteback &wb,
-                   uint64_t batch_stamp = 0)
+    applyWriteback(const EventSequence &data, PendingWriteback &wb)
     {
-        return applyWriteback(VectorEventSource(data), wb, batch_stamp);
+        return applyWriteback(VectorEventSource(data), wb);
     }
 
     /**
@@ -233,10 +231,6 @@ class TgnnModel
 
     /** Bump the bound model.* counters for one completed step. */
     void recordStepMetrics(const StepResult &r);
-
-    /** Direct mutable access for the pipeline's watermark updates. */
-    MemoryStore &memoryMutable() { return memory_; }
-    Mailbox &mailboxMutable() { return mailbox_; }
 
     /**
      * Mean BCE loss over [st, ed) processed in eval batches of

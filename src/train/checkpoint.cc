@@ -184,7 +184,7 @@ constexpr uint32_t kManifestVersion = 1;
  * per-commit bookkeeping O(manifest bytes); the old implementation
  * re-read and re-checksummed every surviving generation — tens of
  * megabytes of page-cache traffic and CRC per cadence point, all of
- * it charged to the commit path the async pipeline is trying to
+ * it charged to the commit path the background write is trying to
  * hide. Files the previous manifest cannot vouch for (first commit
  * of a run, an interrupted rotation, a keep bump) fall back to the
  * validated read.

@@ -11,8 +11,8 @@
  *
  * The collective merges shard results in FIXED shard order 0..K-1
  * (event-weighted loss/accuracy, elementwise double-accumulated
- * gradient sum), the same fixed-reduction-order contract the PR 4
- * GEMM and the S=0 pipeline already honor: the merged update — and
+ * gradient sum), the same fixed-reduction-order contract the
+ * blocked GEMM already honors: the merged update — and
  * therefore the whole trajectory and the saved model bytes — depends
  * only on K, never on how many workers computed the shards or in
  * which order their results arrived.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "tensor/kernels.hh"
-#include "train/pipeline.hh"
 #include "train/shard.hh"
 #include "util/binio.hh"
 #include "util/fault.hh"
@@ -90,11 +89,6 @@ TrainingSession::TrainingSession(TgnnModel &model,
     const bool sharded = options_.workers > 1 ||
                          options_.workerProcs || options_.shards > 0;
     if (sharded) {
-        // The pipeline reorders the very stages the worker group
-        // replaces; the two overlap schemes do not compose.
-        CASCADE_CHECK(options_.pipelineDepth == 0,
-                      "TrainingSession: sharded workers and the "
-                      "pipeline are mutually exclusive");
         WorkerGroupOptions wo;
         wo.workers = options_.workers;
         wo.shards = options_.shards;
@@ -114,6 +108,9 @@ TrainingSession::TrainingSession(TgnnModel &model,
 
 TrainingSession::~TrainingSession()
 {
+    // A write still in flight (the run threw) records into the
+    // registry and reads lastGood_: finish it before either goes.
+    pendingWrite_.drop();
     // The bound components may outlive this session's (possibly
     // owned) registry; drop their instrument pointers so later use
     // (evalLoss, another session) never touches freed memory.
@@ -207,7 +204,7 @@ TrainingSession::runBatch()
     // Stage `boundary`: the batch-formation decision. For Cascade
     // policies the TG-Diffuser records its Algorithm 3 `lookup`
     // sub-stage into `stage.lookup.seconds` from inside this span.
-    // Supervised: a failing dependency-table build (the pipelined
+    // Supervised: a failing dependency-table build (Cascade_EX's
     // chunk prefetch surfaces its exception here) is retried under
     // the backoff policy; an exhausted budget steps the batcher down
     // its degradation ladder and tries again with a fresh budget.
@@ -343,60 +340,6 @@ TrainingSession::runBatch()
     return BatchOutcome::Admitted;
 }
 
-TrainingSession::BatchOutcome
-TrainingSession::runPipelinedSegment()
-{
-    TrainingPipeline::Env env;
-    env.model = &model_;
-    env.data = &data_;
-    env.adj = &adj_;
-    env.trainEnd = trainEnd_;
-    env.batcher = &batcher_;
-    env.guard = &guard_;
-    env.supervisor = supervisor_.get();
-    env.device = device_;
-    env.metrics = metrics_;
-    env.trace = trace_;
-    env.cursor = &cur_;
-    env.lastGood = &lastGood_;
-    env.observer = &observer_;
-    env.wantDiskCheckpoints =
-        !options_.checkpointPath.empty() && !checkpointingDisabled_;
-    env.writeCheckpoint = [this](const std::string &payload,
-                                 const char *what) {
-        writeCheckpoint(payload, what);
-    };
-    env.onDegrade = [this](const std::string &mode) {
-        recordDegradation(mode);
-        report_.degradedMode = mode;
-    };
-
-    TrainingPipeline::Config cfg;
-    cfg.depth = options_.pipelineDepth;
-    cfg.staleness = options_.stalenessBound;
-    cfg.checkpointEvery = options_.checkpointEvery;
-    cfg.overloadDeadlineMs = options_.supervisor.stageDeadlineMs;
-
-    TrainingPipeline pipe(env, cfg);
-    switch (pipe.runSegment()) {
-    case PipelineOutcome::RolledBack:
-        return BatchOutcome::RolledBack;
-    case PipelineOutcome::Crashed:
-        report_.interrupted = true;
-        return BatchOutcome::Crashed;
-    case PipelineOutcome::Overloaded:
-        // One-way: the rest of the run (this segment's remainder
-        // included) goes through the synchronous staged loop.
-        pipelineDisabled_ = true;
-        recordDegradation("pipeline-synchronous");
-        report_.degradedMode = "pipeline-synchronous";
-        return BatchOutcome::Admitted;
-    case PipelineOutcome::Completed:
-        break;
-    }
-    return BatchOutcome::Admitted;
-}
-
 void
 TrainingSession::snapshotIfDue()
 {
@@ -407,11 +350,31 @@ TrainingSession::snapshotIfDue()
     // Stage `checkpoint`: cadence snapshot (also the rollback grain).
     // The in-memory snapshot is always taken — rollback must keep
     // working even when the on-disk write path has been degraded.
+    // The stage times the training thread only: the wait for the
+    // previous write, the encode and the launch. The write itself is
+    // timed on its own thread as `checkpoint.write_seconds`.
     StageScope stage(metrics_->histogram("stage.checkpoint.seconds"),
                      *trace_, "checkpoint");
+    joinPendingWrite();
     lastGood_ = encodeCheckpoint(model_, batcher_, cur_);
     metrics_->counter("checkpoint.snapshots").add(1);
-    writeCheckpoint(lastGood_, "checkpoint");
+    if (options_.checkpointPath.empty())
+        return;
+    // No copy: the writer reads lastGood_, which stays unchanged
+    // until the next cadence point joins this write.
+    pendingWrite_.launch([this] {
+        StageScope write(metrics_->histogram("checkpoint.write_seconds"),
+                         *trace_, "checkpoint-write");
+        writeCheckpoint(lastGood_, "checkpoint");
+        return true;
+    });
+}
+
+void
+TrainingSession::joinPendingWrite()
+{
+    if (pendingWrite_.active())
+        pendingWrite_.collect();
 }
 
 void
@@ -514,7 +477,7 @@ TrainingSession::assembleReport()
     report_.rollbacks = static_cast<size_t>(
         metrics_->counter("train.rollbacks").value());
     report_.lookupSeconds = batcher_.lookupSeconds();
-    // Preprocessing that happened lazily during training (pipelined
+    // Preprocessing that happened lazily during training (Cascade_EX
     // chunk builds) shows up as the delta against the initial charge.
     report_.preprocessSeconds = batcher_.preprocessSeconds();
 
@@ -530,21 +493,6 @@ TrainingSession::assembleReport()
         metrics_->counter("checkpoint.retries").value());
     report_.checkpointWriteFailures = static_cast<size_t>(
         metrics_->counter("checkpoint.write_failures").value());
-
-    // Asynchronous-pipeline accounting. find* keeps a synchronous
-    // run's metrics dump free of pipeline.* instruments.
-    if (const obs::Counter *pb =
-            metrics_->findCounter("pipeline.batches")) {
-        report_.pipelined = pb->value() > 0;
-    }
-    if (const obs::Gauge *ms =
-            metrics_->findGauge("pipeline.max_staleness")) {
-        report_.maxStaleness = static_cast<size_t>(ms->value());
-    }
-    if (const obs::Histogram *sh =
-            metrics_->findHistogram("pipeline.stall_seconds")) {
-        report_.pipelineStallSeconds = sh->sum();
-    }
 
     // Sharded-worker accounting (train/shard.hh). The group object
     // outlives its shutdown, so the tallies stay readable here.
@@ -610,10 +558,7 @@ TrainingSession::run()
         bool rolled_back = false;
 
         while (cur_.st < trainEnd_) {
-            const BatchOutcome out =
-                (options_.pipelineDepth > 0 && !pipelineDisabled_)
-                    ? runPipelinedSegment()
-                    : runBatch();
+            const BatchOutcome out = runBatch();
             if (out == BatchOutcome::RolledBack) {
                 rolled_back = true;
                 break;
@@ -629,6 +574,11 @@ TrainingSession::run()
         finishEpoch(epoch_timer.seconds(), dev_before);
     }
     run_span.end();
+    // The last cadence write lands before run() returns — also on an
+    // injected crash, whose generation must be on disk — and before
+    // the final checkpoint rotates generations or the report reads
+    // the write counters.
+    joinPendingWrite();
 
     // Workers are only needed for training batches; stop them before
     // the final checkpoint and validation (master state is

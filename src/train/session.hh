@@ -14,7 +14,8 @@
  *   guard      — NumericGuard admission + rollback restore on a trip
  *   feedback   — Batcher::onBatchDone (SG-Filter + ABS refresh) and
  *                the device-model charge
- *   checkpoint — cadence snapshot encode + supervised file write
+ *   checkpoint — cadence snapshot encode; the supervised file write
+ *                of that snapshot runs in the background (below)
  *
  * plus a post-training `eval` stage. Failure-prone stages run under a
  * Supervisor (train/supervisor.hh): the boundary decision and the
@@ -27,9 +28,16 @@
  * obs::TraceRecorder) and records its seconds into a
  * `stage.<name>.seconds` histogram in the session's MetricsRegistry;
  * the TrainReport is assembled *from* the registry afterwards instead
- * of being mutated inline. Explicit stages are the precondition for
- * the ROADMAP's pipelining work: Cascade_EX overlap and MSPipe-style
- * staleness scheduling reorder exactly these stages.
+ * of being mutated inline.
+ *
+ * The stages run in program order on one thread (kernels fan out
+ * over the worker pool inside a stage). The one stage work that
+ * overlaps later batches is the checkpoint file write: at a cadence
+ * point the session encodes the rollback snapshot and hands the disk
+ * write of those same bytes to one background thread (at most one
+ * write in flight), which is joined before the next encode, before
+ * run() returns (so also after an injected crash, and before the
+ * final checkpoint) and when the session is destroyed.
  *
  * The decomposition is behavior-preserving: stage order and state
  * transitions replicate the seed trainer exactly, so per-batch loss
@@ -50,6 +58,7 @@
 #include "train/checkpoint.hh"
 #include "train/supervisor.hh"
 #include "train/trainer.hh"
+#include "util/queue.hh"
 
 namespace cascade {
 
@@ -64,12 +73,6 @@ struct BatchRecord
     size_t ed = 0;            ///< one past the last event
     double loss = 0.0;
     size_t numEvents = 0;
-    /**
-     * How many batches stale the node memory was when this batch's
-     * model stage ran (0 in the synchronous loop and at S=0; bounded
-     * by --staleness-bound in the pipeline; train/pipeline.hh).
-     */
-    size_t memStaleness = 0;
 };
 
 /** Staged, observable training loop over one (model, batcher) pair. */
@@ -93,29 +96,11 @@ class TrainingSession
                     obs::TraceRecorder *trace = nullptr);
 
     /**
-     * @deprecated Construct over an EventSource instead (wrap a
-     * resident sequence in VectorEventSource, or pass the Dataset's
-     * source directly). Removed after one release.
-     */
-    [[deprecated("pass an EventSource (e.g. VectorEventSource)")]]
-    TrainingSession(TgnnModel &model, const EventSequence &data,
-                    const TemporalAdjacency &adj, size_t train_end,
-                    Batcher &batcher, const TrainOptions &options,
-                    DeviceModel *device = nullptr,
-                    obs::MetricsRegistry *metrics = nullptr,
-                    obs::TraceRecorder *trace = nullptr)
-        : TrainingSession(model,
-                          std::make_unique<VectorEventSource>(data),
-                          adj, train_end, batcher, options, device,
-                          metrics, trace)
-    {}
-
-    /**
-     * Unbinds the instruments the constructor bound into the
-     * registry. Model, batcher and device routinely outlive the
-     * session (and, when owned, its registry) — e.g. evalLoss after
-     * training — so they must not be left holding dangling
-     * instrument pointers.
+     * Joins a checkpoint write still in flight, then unbinds the
+     * instruments the constructor bound into the registry. Model,
+     * batcher and device routinely outlive the session (and, when
+     * owned, its registry) — e.g. evalLoss after training — so they
+     * must not be left holding dangling instrument pointers.
      */
     ~TrainingSession();
 
@@ -124,7 +109,7 @@ class TrainingSession
 
     /**
      * Called after every admitted batch (golden-trajectory tests,
-     * live progress UIs, future pipeline schedulers). Rolled-back
+     * live progress UIs, per-batch timing). Rolled-back
      * batches do not reach the observer, mirroring how they
      * contribute nothing to the run.
      */
@@ -146,20 +131,6 @@ class TrainingSession
     const obs::TraceRecorder &trace() const { return *trace_; }
 
   private:
-    /** Adapter-owning delegate for the deprecated EventSequence
-     *  constructor: the wrapper must live as long as the session. */
-    TrainingSession(TgnnModel &model,
-                    std::unique_ptr<VectorEventSource> owned,
-                    const TemporalAdjacency &adj, size_t train_end,
-                    Batcher &batcher, const TrainOptions &options,
-                    DeviceModel *device, obs::MetricsRegistry *metrics,
-                    obs::TraceRecorder *trace)
-        : TrainingSession(model, *owned, adj, train_end, batcher,
-                          options, device, metrics, trace)
-    {
-        ownedSrc_ = std::move(owned);
-    }
-
     /** Per-batch outcome deciding the loop's next move. */
     enum class BatchOutcome
     {
@@ -175,24 +146,27 @@ class TrainingSession
     BatchOutcome runBatch();
 
     /**
-     * Run from the cursor to the epoch's train end through the
-     * asynchronous pipeline (train/pipeline.hh). Admitted means the
-     * segment completed (cursor at trainEnd_) or the pipeline
-     * declared overload and degraded to the synchronous loop
-     * (pipelineDisabled_ set; cursor mid-epoch, loop continues
-     * synchronously).
+     * Stage `checkpoint`: join the previous write, encode the cadence
+     * snapshot into lastGood_, and launch its write in the background.
      */
-    BatchOutcome runPipelinedSegment();
-
-    /** Stage `checkpoint`: cadence snapshot + supervised write. */
     void snapshotIfDue();
+
+    /**
+     * Wait for the background checkpoint write, if one is in flight.
+     * Every read of checkpointingDisabled_ or the checkpoint counters
+     * and every reassignment of lastGood_ on the training thread
+     * happens after this join.
+     */
+    void joinPendingWrite();
 
     /**
      * Supervised checkpoint write (cadence and final). Retries under
      * the RetryPolicy; when the budget exhausts, checkpointing is
      * disabled for the rest of the run (one-way, `checkpoint.skipped`
      * counts subsequent cadence points) — durability degrades, the
-     * training run itself never dies on a full disk.
+     * training run itself never dies on a full disk. Cadence writes
+     * run on pendingWrite_'s thread; the final write on the training
+     * thread.
      */
     void writeCheckpoint(const std::string &payload, const char *what);
 
@@ -206,7 +180,6 @@ class TrainingSession
     void assembleReport();
 
     // --- wiring -----------------------------------------------------
-    std::unique_ptr<VectorEventSource> ownedSrc_;
     TgnnModel &model_;
     const EventSource &data_;
     const TemporalAdjacency &adj_;
@@ -227,14 +200,19 @@ class TrainingSession
     /** Sharded multi-worker runtime; null in the unsharded loop. */
     std::unique_ptr<WorkerGroup> workerGroup_;
     TrainerCursor cur_;
-    std::string lastGood_; ///< in-memory rollback target
+    /**
+     * In-memory rollback target and the payload of the write in
+     * flight. The writer only reads it, as does a rollback's decode,
+     * so the two may overlap; it is reassigned only after a join.
+     */
+    std::string lastGood_;
     TrainReport report_;
     std::function<void(const BatchRecord &)> observer_;
     bool ran_ = false;
     /** One-way degradation: checkpoint writes kept failing. */
     bool checkpointingDisabled_ = false;
-    /** One-way degradation: pipeline overloaded; run synchronous. */
-    bool pipelineDisabled_ = false;
+    /** The background cadence write (at most one in flight). */
+    AsyncCell<bool> pendingWrite_;
 };
 
 } // namespace cascade

@@ -91,16 +91,6 @@ struct TrainReport
     size_t checkpointWriteFailures = 0;
     /** @} */
 
-    /** @name Asynchronous-pipeline accounting (train/pipeline.hh) */
-    /** @{ */
-    /** At least one segment ran through the staleness pipeline. */
-    bool pipelined = false;
-    /** Largest memory staleness a model stage observed (batches). */
-    size_t maxStaleness = 0;
-    /** Model-thread seconds spent blocked on pipeline gates/queues. */
-    double pipelineStallSeconds = 0.0;
-    /** @} */
-
     /** @name Sharded-worker accounting (train/shard.hh) */
     /** @{ */
     /** Worker count the run was configured with (1 = unsharded). */
@@ -167,27 +157,9 @@ struct TrainOptions
     SupervisorOptions supervisor;
 
     /**
-     * Asynchronous pipeline depth: how many batch plans the boundary
-     * stage may run ahead of the model stage (the bounded plan-queue
-     * capacity; train/pipeline.hh). 0 = the classic synchronous
-     * staged loop.
-     */
-    size_t pipelineDepth = 0;
-    /**
-     * Bounded staleness S: a pipelined model stage may read node
-     * memory at most S batches stale (MSPipe-style). S=0 keeps the
-     * pipeline bit-identical to the synchronous trajectory — stage
-     * *executions* still overlap, but every cross-stage data
-     * dependency is honored exactly. S>0 relaxes the memory/feedback
-     * dependencies by up to S batches for more overlap.
-     */
-    size_t stalenessBound = 0;
-
-    /**
      * Worker shards (train/shard.hh): number of workers computing the
      * batch's logical shards. 1 = classic unsharded loop. >1 is a
-     * NEW deterministic trajectory governed by `shards`, mutually
-     * exclusive with pipelineDepth.
+     * NEW deterministic trajectory governed by `shards`.
      */
     size_t workers = 1;
     /**
@@ -221,22 +193,6 @@ TrainReport trainModel(TgnnModel &model, const EventSource &data,
                        const TemporalAdjacency &adj, size_t train_end,
                        Batcher &batcher, const TrainOptions &options,
                        DeviceModel *device = nullptr);
-
-/**
- * @deprecated Pass an EventSource instead (wrap a resident sequence
- * in VectorEventSource, or pass the Dataset's source directly).
- * Removed after one release.
- */
-[[deprecated("pass an EventSource (e.g. VectorEventSource)")]]
-inline TrainReport
-trainModel(TgnnModel &model, const EventSequence &data,
-           const TemporalAdjacency &adj, size_t train_end,
-           Batcher &batcher, const TrainOptions &options,
-           DeviceModel *device = nullptr)
-{
-    return trainModel(model, VectorEventSource(data), adj, train_end,
-                      batcher, options, device);
-}
 
 } // namespace cascade
 

@@ -37,7 +37,8 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
  * bytewise algorithm — only the throughput changes (multi-megabyte
  * checkpoint images are CRC'd on the commit path every cadence
  * point). A magic static keeps initialisation thread-safe: the
- * pipeline's writer thread and the model thread both checksum.
+ * session's background checkpoint writer and the training thread
+ * both checksum.
  */
 struct CrcTables
 {

@@ -35,7 +35,6 @@
  * What counts as trajectory-defining (the root set):
  *  - TgnnModel::stepForwardWithRng / advanceState — the forward pass
  *  - mergeShardResults / applyMergedUpdate — the sharded collective
- *  - TrainingPipeline::runSegment — every pipeline stage body
  *  - kernels::gemm / gemmAcc — the fixed-p-order parallel reductions
  *  - saveCheckpointRotated / saveModel — checkpoint serialization
  *  - ServeEngine::applyEvents — the serve snapshot writer

@@ -1,35 +1,15 @@
 /**
  * @file
- * Bounded blocking queues for the asynchronous training pipeline
- * (DESIGN.md "Staleness-aware asynchronous pipeline").
- *
- * Two primitives, both built on the annotated mutex shims so the
- * `analyze` preset checks every access and the TSan lane sees real
- * std::mutex operations:
- *
- *  - BoundedQueue<T>: a bounded MPMC (used SPSC in practice) blocking
- *    queue with cooperative shutdown. close() wakes every waiter;
- *    closeWithError() additionally carries an exception_ptr that
- *    rethrows on the *consumer* side, so a failure in a producer
- *    stage surfaces on the thread that owns error handling instead
- *    of dying silently in a worker.
- *  - AsyncCell<T>: a one-shot "launch now, collect later" slot — the
- *    generalization of the TG-Diffuser's std::future prefetch onto
- *    the same annotated machinery. The producing thread is owned by
- *    the cell and joined before the value (or its exception) is
- *    handed over, so there is no detached work to leak.
- *
- * All waits are written as explicit `while (!pred) cv.wait(lock)`
- * loops per the thread_annotations.hh convention (and the
- * cv-wait-predicate lint rule): a naked wait outside a predicate
- * loop is a lost-wakeup hazard.
+ * AsyncCell<T>, the one background-thread primitive: the TG-Diffuser's
+ * chunk-table prefetch (Cascade_EX) and the TrainingSession's
+ * background checkpoint write (DESIGN.md §12) both run on it. Built on
+ * the annotated mutex shims, so the `analyze` preset checks every
+ * access and the TSan lane sees real std::mutex operations.
  */
 
 #ifndef CASCADE_UTIL_QUEUE_HH
 #define CASCADE_UTIL_QUEUE_HH
 
-#include <condition_variable>
-#include <deque>
 #include <exception>
 #include <thread>
 #include <utility>
@@ -40,126 +20,15 @@
 namespace cascade {
 
 /**
- * Bounded blocking FIFO with shutdown and error propagation.
- *
- * push() blocks while the queue is full; pop() blocks while it is
- * empty. After close(), push() returns false immediately and pop()
- * drains the remaining items before returning false. After
- * closeWithError(), pop() rethrows the carried exception once the
- * queue has drained (items already produced are still delivered:
- * the consumer decides whether to finish them or unwind).
- */
-template <typename T>
-class BoundedQueue
-{
-  public:
-    explicit BoundedQueue(size_t capacity) : cap_(capacity)
-    {
-        CASCADE_CHECK(capacity > 0, "BoundedQueue capacity must be > 0");
-    }
-
-    BoundedQueue(const BoundedQueue &) = delete;
-    BoundedQueue &operator=(const BoundedQueue &) = delete;
-
-    /**
-     * Block until there is room, then enqueue.
-     * @return false when the queue was closed (item not enqueued)
-     */
-    bool
-    push(T item)
-    {
-        UniqueLock lock(m_);
-        while (items_.size() >= cap_ && !closed_)
-            notFull_.wait(lock);
-        if (closed_)
-            return false;
-        items_.push_back(std::move(item));
-        notEmpty_.notify_one();
-        return true;
-    }
-
-    /**
-     * Block until an item is available, then dequeue into `out`.
-     * @return false when the queue is closed and fully drained
-     * @throws the closeWithError() exception once drained
-     */
-    bool
-    pop(T &out)
-    {
-        UniqueLock lock(m_);
-        while (items_.empty() && !closed_)
-            notEmpty_.wait(lock);
-        if (items_.empty()) {
-            if (error_)
-                std::rethrow_exception(error_);
-            return false;
-        }
-        out = std::move(items_.front());
-        items_.pop_front();
-        notFull_.notify_one();
-        return true;
-    }
-
-    /** Close the queue: producers fail fast, consumers drain. */
-    void
-    close()
-    {
-        LockGuard lock(m_);
-        closed_ = true;
-        notEmpty_.notify_all();
-        notFull_.notify_all();
-    }
-
-    /** Close and arrange for pop() to rethrow `err` after draining.
-     *  First error wins; later calls keep the original. */
-    void
-    closeWithError(std::exception_ptr err)
-    {
-        LockGuard lock(m_);
-        closed_ = true;
-        if (!error_)
-            error_ = err;
-        notEmpty_.notify_all();
-        notFull_.notify_all();
-    }
-
-    /** Current depth (racy by nature; for gauges only). */
-    size_t
-    size() const
-    {
-        LockGuard lock(m_);
-        return items_.size();
-    }
-
-    bool
-    closed() const
-    {
-        LockGuard lock(m_);
-        return closed_;
-    }
-
-    size_t capacity() const { return cap_; }
-
-  private:
-    mutable AnnotatedMutex m_;
-    std::condition_variable_any notFull_;
-    std::condition_variable_any notEmpty_;
-    std::deque<T> items_ CASCADE_GUARDED_BY(m_);
-    const size_t cap_;
-    bool closed_ CASCADE_GUARDED_BY(m_) = false;
-    std::exception_ptr error_ CASCADE_GUARDED_BY(m_);
-};
-
-/**
  * One-shot asynchronous slot: launch a producer thread now, collect
  * its value (or exception) later. Replaces the TG-Diffuser's ad-hoc
- * std::async future so chunk prefetch and the training pipeline share
- * one audited concurrency primitive.
+ * std::async future so chunk prefetch and the session's checkpoint
+ * write share one audited concurrency primitive.
  *
  * Lifecycle: launch() → active() → collect() (or drop()). collect()
  * joins the producer and rethrows anything it threw; drop() joins and
  * discards both value and exception (used when the consumer already
- * decided the result is unwanted — pipeline disable, destruction).
+ * decided the result is unwanted — prefetch disable, destruction).
  */
 template <typename T>
 class AsyncCell

@@ -18,6 +18,7 @@
 #include "obs/metrics.hh"
 #include "train/checkpoint.hh"
 #include "train/numeric_guard.hh"
+#include "train/session.hh"
 #include "train/trainer.hh"
 #include "util/binio.hh"
 #include "util/fault.hh"
@@ -258,21 +259,35 @@ TEST(FaultTolerance, CrashAndResumeIsBitIdenticalFixedBatcher)
                                   baseOptions(f));
     ASSERT_GE(want.totalBatches, 6u);
 
-    // Same run, crashing mid-epoch past at least one snapshot.
+    // Same run, crashing mid-epoch past at least one snapshot. The
+    // crash batch is itself a cadence point (global batch g ends a
+    // cadence when (g + 1) % every == 0), so the crash returns while
+    // that snapshot's background write is in flight.
     TrainOptions copts = baseOptions(f);
     copts.checkpointPath = path;
     copts.checkpointEvery = 2;
     TgnnModel crashed = freshModel(f);
     FixedBatcher cb(f.trainEnd, f.spec.baseBatch);
     {
+        const uint64_t crash = (want.totalBatches / 2) | 1;
         fault::Config fc;
-        fc.crashBatch =
-            static_cast<long>(want.totalBatches / 2 + 1);
+        fc.crashBatch = static_cast<long>(crash);
         FaultScope scope(fc);
-        TrainReport r = trainModel(crashed, f.src, f.adj, f.trainEnd,
-                                   cb, copts);
+        TrainingSession session(crashed, f.src, f.adj, f.trainEnd, cb,
+                                copts);
+        TrainReport r = session.run();
         ASSERT_TRUE(r.interrupted);
         EXPECT_LT(r.totalBatches, want.totalBatches);
+
+        // run() returned with the session still alive: the crash
+        // batch's generation is already the newest on disk.
+        std::string payload;
+        ASSERT_TRUE(loadCheckpointFile(path, payload));
+        TgnnModel probe = freshModel(f);
+        FixedBatcher pb(f.trainEnd, f.spec.baseBatch);
+        TrainerCursor on_disk;
+        ASSERT_TRUE(decodeCheckpoint(payload, probe, pb, on_disk));
+        EXPECT_EQ(on_disk.globalBatch, crash + 1);
     }
 
     // Resume in a fresh process-equivalent: new model, new batcher.

@@ -277,24 +277,3 @@ TEST(KernelStats, CountersAdvanceAndBindToRegistry)
               2ull * 8 * 8 * 8);
     EXPECT_GE(registry.counter("kernels.elementwise.calls").value(), 1u);
 }
-
-// The one-release compatibility shims must keep working while callers
-// migrate; silence their own deprecation warnings here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(KernelCompat, DeprecatedWrappersStillCompute)
-{
-    Rng rng(41);
-    Tensor a = Tensor::randn(3, 4, rng);
-    Tensor b = Tensor::randn(4, 5, rng);
-    Tensor viaWrapper =
-        matmulRaw(a, b); // cascade-lint: allow(deprecated-api)
-    Tensor viaKernel = kernels::gemm(Trans::None, Trans::None, a, b);
-    EXPECT_LE(maxAbsDiff(viaWrapper, viaKernel), 0.0);
-
-    Tensor t = transposeRaw(a);
-    EXPECT_EQ(t.rows(), 4u);
-    EXPECT_EQ(t.cols(), 3u);
-    EXPECT_FLOAT_EQ(t.at(1, 2), a.at(2, 1));
-}
-#pragma GCC diagnostic pop

@@ -422,36 +422,64 @@ TEST(Trace, JsonExportIsWellFormedTraceEventFormat)
 
 TEST(TrainingSession, StageSecondsReconcileWithWallSeconds)
 {
-    Fixture f;
-    TgnnModel model(tgnConfig(16), f.spec.numNodes, f.data.featDim(),
-                    1);
-    FixedBatcher batcher(f.trainEnd, f.spec.baseBatch);
-    TrainOptions o;
-    o.epochs = 2;
-    o.validate = false;    // eval runs outside the epoch wall clocks
-    o.checkpointEvery = 0; // keep every stage inside the epoch loop
+    // Once without checkpoints, once with cadence writes running on
+    // the background writer beside the training thread: the stages
+    // time the training thread only, so either way they must add up
+    // to the epoch walls.
+    for (const bool with_writes : {false, true}) {
+        SCOPED_TRACE(with_writes ? "checkpoint writes" : "no checkpoint");
+        Fixture f;
+        TgnnModel model(tgnConfig(16), f.spec.numNodes,
+                        f.data.featDim(), 1);
+        FixedBatcher batcher(f.trainEnd, f.spec.baseBatch);
+        TrainOptions o;
+        o.epochs = 2;
+        o.validate = false; // eval runs outside the epoch wall clocks
+        // With writes, the final checkpoint runs after the epochs and
+        // outside any stage, so only cadence points count.
+        o.checkpointEvery = with_writes ? 3 : 0;
+        if (with_writes) {
+            o.checkpointPath = std::string(::testing::TempDir()) +
+                               "obs_reconcile_ck.bin";
+        }
 
-    TrainingSession session(model, f.src, f.adj, f.trainEnd, batcher,
-                            o);
-    TrainReport r = session.run();
-    ASSERT_GT(r.wallSeconds, 0.0);
+        TrainingSession session(model, f.src, f.adj, f.trainEnd,
+                                batcher, o);
+        TrainReport r = session.run();
+        ASSERT_GT(r.wallSeconds, 0.0);
 
-    double stage_sum = 0.0;
-    // `lookup` is deliberately absent: it is a sub-stage recorded
-    // inside `boundary` and would double-count.
-    for (const char *name :
-         {"stage.boundary.seconds", "stage.model.seconds",
-          "stage.guard.seconds", "stage.feedback.seconds",
-          "stage.checkpoint.seconds"}) {
-        const obs::Histogram *h = session.metrics().findHistogram(name);
-        if (h)
-            stage_sum += h->sum();
+        double stage_sum = 0.0;
+        // `lookup` is deliberately absent: it is a sub-stage recorded
+        // inside `boundary` and would double-count.
+        for (const char *name :
+             {"stage.boundary.seconds", "stage.model.seconds",
+              "stage.guard.seconds", "stage.feedback.seconds",
+              "stage.checkpoint.seconds"}) {
+            const obs::Histogram *h =
+                session.metrics().findHistogram(name);
+            if (h)
+                stage_sum += h->sum();
+        }
+        EXPECT_LE(stage_sum, r.wallSeconds);
+        // Per-stage seconds must account for the run's wall time to
+        // within 5% (plus a small absolute epsilon for tiny runs).
+        EXPECT_NEAR(stage_sum, r.wallSeconds,
+                    0.05 * r.wallSeconds + 2e-3);
+
+        // Every cadence write was timed on the writer's own histogram.
+        const obs::Histogram *writes =
+            session.metrics().findHistogram("checkpoint.write_seconds");
+        if (with_writes) {
+            ASSERT_NE(writes, nullptr);
+            EXPECT_GT(writes->count(), 0u);
+            EXPECT_EQ(writes->count(),
+                      session.metrics()
+                          .counter("checkpoint.snapshots")
+                          .value());
+        } else {
+            EXPECT_EQ(writes, nullptr);
+        }
     }
-    EXPECT_LE(stage_sum, r.wallSeconds);
-    // Per-stage seconds must account for the run's wall time to
-    // within 5% (plus a small absolute epsilon for tiny runs).
-    EXPECT_NEAR(stage_sum, r.wallSeconds,
-                0.05 * r.wallSeconds + 2e-3);
 }
 
 TEST(TrainingSession, ReportIsAssembledFromTheRegistry)

@@ -1,10 +1,9 @@
 /**
  * @file
- * BoundedQueue / AsyncCell semantics (util/queue.hh): FIFO order,
- * capacity back-pressure, cooperative shutdown that drains queued
- * items, exception propagation to the consumer side, and the
- * one-shot launch/collect/drop lifecycle the TG-Diffuser prefetch
- * and the training pipeline both rely on.
+ * AsyncCell semantics (util/queue.hh): the one-shot
+ * launch/collect/drop lifecycle and exception propagation that the
+ * TG-Diffuser prefetch and the session's background checkpoint write
+ * both rely on.
  */
 
 #include <gtest/gtest.h>
@@ -29,188 +28,11 @@ briefSleep()
 
 } // namespace
 
-TEST(BoundedQueue, FifoWithinCapacity)
-{
-    BoundedQueue<int> q(4);
-    EXPECT_EQ(q.capacity(), 4u);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(q.push(i));
-    EXPECT_EQ(q.size(), 4u);
-    for (int i = 0; i < 4; ++i) {
-        int v = -1;
-        EXPECT_TRUE(q.pop(v));
-        EXPECT_EQ(v, i);
-    }
-    EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BoundedQueue, PushBlocksAtCapacityUntilPop)
-{
-    BoundedQueue<int> q(2);
-    ASSERT_TRUE(q.push(1));
-    ASSERT_TRUE(q.push(2));
-
-    std::atomic<bool> third_landed{false};
-    std::thread producer([&] {
-        EXPECT_TRUE(q.push(3));
-        third_landed = true;
-    });
-
-    // The queue is full: the producer cannot complete until a pop
-    // makes room (this is the invariant, not a timing assumption —
-    // the sleep only gives a buggy non-blocking push time to betray
-    // itself).
-    briefSleep();
-    EXPECT_FALSE(third_landed.load());
-    EXPECT_EQ(q.size(), 2u);
-
-    int v = 0;
-    ASSERT_TRUE(q.pop(v));
-    EXPECT_EQ(v, 1);
-    producer.join();
-    EXPECT_TRUE(third_landed.load());
-
-    ASSERT_TRUE(q.pop(v));
-    EXPECT_EQ(v, 2);
-    ASSERT_TRUE(q.pop(v));
-    EXPECT_EQ(v, 3);
-}
-
-TEST(BoundedQueue, CloseDrainsQueuedItemsThenReturnsFalse)
-{
-    BoundedQueue<int> q(4);
-    ASSERT_TRUE(q.push(10));
-    ASSERT_TRUE(q.push(11));
-    q.close();
-    EXPECT_TRUE(q.closed());
-
-    // Producers fail fast after close; nothing is enqueued.
-    EXPECT_FALSE(q.push(12));
-    EXPECT_EQ(q.size(), 2u);
-
-    // Consumers still drain what was produced before the close.
-    int v = 0;
-    EXPECT_TRUE(q.pop(v));
-    EXPECT_EQ(v, 10);
-    EXPECT_TRUE(q.pop(v));
-    EXPECT_EQ(v, 11);
-    EXPECT_FALSE(q.pop(v));
-    EXPECT_FALSE(q.pop(v)); // stays false, does not block
-}
-
-TEST(BoundedQueue, CloseWakesBlockedConsumer)
-{
-    BoundedQueue<int> q(2);
-    std::atomic<bool> pop_returned{false};
-    std::thread consumer([&] {
-        int v = 0;
-        EXPECT_FALSE(q.pop(v)); // blocks empty, then sees the close
-        pop_returned = true;
-    });
-    briefSleep();
-    EXPECT_FALSE(pop_returned.load());
-    q.close();
-    consumer.join();
-    EXPECT_TRUE(pop_returned.load());
-}
-
-TEST(BoundedQueue, CloseWakesBlockedProducer)
-{
-    BoundedQueue<int> q(1);
-    ASSERT_TRUE(q.push(0));
-    std::atomic<bool> push_result{true};
-    std::thread producer([&] { push_result = q.push(1); });
-    briefSleep();
-    q.close();
-    producer.join();
-    // The blocked push observed the shutdown, not a successful
-    // enqueue: only the pre-close item remains.
-    EXPECT_FALSE(push_result.load());
-    EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(BoundedQueue, CloseWithErrorRethrowsOnConsumerAfterDrain)
-{
-    BoundedQueue<int> q(4);
-    ASSERT_TRUE(q.push(7));
-    q.closeWithError(std::make_exception_ptr(
-        std::runtime_error("stage failed upstream")));
-    // A later error does not displace the first one.
-    q.closeWithError(
-        std::make_exception_ptr(std::runtime_error("second failure")));
-
-    // Items produced before the failure are still delivered — the
-    // consumer owns the decision to finish or unwind.
-    int v = 0;
-    EXPECT_TRUE(q.pop(v));
-    EXPECT_EQ(v, 7);
-
-    try {
-        q.pop(v);
-        FAIL() << "drained pop after closeWithError must throw";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "stage failed upstream");
-    }
-}
-
-TEST(BoundedQueue, SpscStressPreservesOrder)
-{
-    constexpr int kItems = 2000;
-    BoundedQueue<int> q(3);
-    std::thread producer([&] {
-        for (int i = 0; i < kItems; ++i)
-            ASSERT_TRUE(q.push(i));
-        q.close();
-    });
-
-    std::vector<int> seen;
-    seen.reserve(kItems);
-    int v = 0;
-    while (q.pop(v))
-        seen.push_back(v);
-    producer.join();
-
-    ASSERT_EQ(seen.size(), static_cast<size_t>(kItems));
-    for (int i = 0; i < kItems; ++i)
-        ASSERT_EQ(seen[static_cast<size_t>(i)], i);
-}
-
-TEST(BoundedQueue, CloseRacingFullQueueProducerNeverEnqueues)
-{
-    // close() vs a producer stuck on a full queue, raced with no
-    // synchronization between the two threads. With capacity 1
-    // pre-filled and no consumer, there is no interleaving in which
-    // the push can legally land: it either observes the close before
-    // blocking (fail fast) or is woken by it. Either way it must
-    // report false and leave the queue contents untouched — a push
-    // that returns false yet enqueued, or returns true after a close,
-    // would hand the pipeline a phantom batch. Many short iterations
-    // probe different interleavings (and give TSan real schedules to
-    // bite on) where one long sleep would always test the same one.
-    for (int iter = 0; iter < 200; ++iter) {
-        BoundedQueue<int> q(1);
-        ASSERT_TRUE(q.push(iter));
-
-        std::atomic<bool> push_result{true};
-        std::thread producer([&] { push_result = q.push(-1); });
-        std::thread closer([&] { q.close(); });
-        producer.join();
-        closer.join();
-
-        EXPECT_FALSE(push_result.load());
-        EXPECT_EQ(q.size(), 1u);
-        int v = -1;
-        EXPECT_TRUE(q.pop(v));
-        EXPECT_EQ(v, iter);
-        EXPECT_FALSE(q.pop(v));
-    }
-}
-
 TEST(AsyncCell, DropWhileProducerStillRunningJoinsBeforeReturning)
 {
     // drop() on a producer that has not finished yet must *join* it,
     // not abandon it: the producer may reference stack state of the
-    // dropper (the pipeline's prefetch closures capture the batcher
+    // dropper (the diffuser's prefetch closures capture the batcher
     // by reference). If drop() returned while the producer was still
     // running, `finished` would be observably false here.
     AsyncCell<int> cell;

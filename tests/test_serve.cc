@@ -269,3 +269,45 @@ TEST(Serve, SocketServerRoundTripsProtocol)
     server.stop();
     EXPECT_FALSE(server.running());
 }
+
+TEST(Serve, SocketServerStopReturnsAfterReadersRaceForAccept)
+{
+    // Every reader polls the one listen socket, so a connection wakes
+    // them all and only one accept() wins. The losers must go back to
+    // polling; a reader left blocked in accept() makes stop() wait
+    // forever (the ctest TIMEOUT turns that hang into a failure).
+    // Concurrent clients give the race more chances to happen.
+    Fixture f;
+    ServeEngine engine(f.model, f.src, f.adj, 0);
+    engine.applyEvents(f.src.size() / 2, 64);
+
+    ServeServerOptions sopts;
+    sopts.socketPath =
+        std::string(::testing::TempDir()) + "serve_stop_test.sock";
+    sopts.readerThreads = 4;
+    ServeSocketServer server(engine, sopts);
+    ASSERT_TRUE(server.start());
+
+    constexpr int kClients = 4;
+    constexpr int kRounds = 25;
+    std::atomic<int> answered{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&] {
+            for (int round = 0; round < kRounds; ++round) {
+                ServeClient client;
+                ServeClient::Stats stats;
+                if (client.connect(sopts.socketPath) &&
+                    client.stats(stats))
+                    answered.fetch_add(1);
+                client.close();
+            }
+        });
+    }
+    for (std::thread &t : clients)
+        t.join();
+    EXPECT_EQ(answered.load(), kClients * kRounds);
+
+    server.stop();
+    EXPECT_FALSE(server.running());
+}

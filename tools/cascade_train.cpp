@@ -39,21 +39,11 @@
  * Supervision: failing stages (chunk-table builds, checkpoint writes)
  * retry up to --retry-max times with deterministic exponential
  * backoff starting at --retry-base-ms, then degrade gracefully
- * (pipelined → synchronous → static batching; checkpointing
- * disabled) rather than aborting — the summary line reports retries,
- * deadline misses and the final degraded mode. --stage-deadline-ms
- * arms a watchdog that counts stages overrunning the deadline
- * (0 = off).
- *
- * Pipelining: --pipeline-depth N > 0 runs training through the
- * staleness-aware asynchronous pipeline (train/pipeline.hh): batch
- * boundary construction, the model step, the memory/mailbox update
- * and checkpoint writes overlap across batches behind bounded queues
- * of depth N. --staleness-bound S lets the model read node memory at
- * most S batches stale; S=0 (the default) keeps the pipelined
- * trajectory bit-identical to the synchronous run. A persistently
- * stalled pipeline degrades to the synchronous loop
- * (degraded=pipeline-synchronous in the summary).
+ * (pipelined chunk builds → synchronous → static batching;
+ * checkpointing disabled) rather than aborting — the summary line
+ * reports retries, deadline misses and the final degraded mode.
+ * --stage-deadline-ms arms a watchdog that counts stages overrunning
+ * the deadline (0 = off).
  */
 
 #include <sys/resource.h>
@@ -104,8 +94,6 @@ struct CliOptions
     size_t retryMax = 3;
     double retryBaseMs = 10.0;
     double stageDeadlineMs = 0.0; ///< 0 = watchdog off
-    size_t pipelineDepth = 0;     ///< 0 = synchronous staged loop
-    size_t stalenessBound = 0;    ///< memory staleness bound S
     size_t workers = 1;           ///< worker shards (1 = unsharded)
     bool workerProcs = false;     ///< fork() the workers
     size_t shards = 0;            ///< logical shard count K (0 = workers)
@@ -163,10 +151,6 @@ declareFlags(cli::FlagSet &flags, CliOptions &o)
                      "base retry backoff delay");
     flags.flagDouble("--stage-deadline-ms", &o.stageDeadlineMs, "MS",
                      "stage watchdog deadline (0 = off)");
-    flags.flagInt("--pipeline-depth", &o.pipelineDepth, "N",
-                  "async pipeline depth (0 = synchronous)");
-    flags.flagInt("--staleness-bound", &o.stalenessBound, "S",
-                  "memory staleness bound in batches");
     flags.flagInt("--workers", &o.workers, "N",
                   "worker shards (1 = unsharded)");
     flags.flagBool("--worker-procs", &o.workerProcs,
@@ -336,22 +320,12 @@ main(int argc, char **argv)
     toptions.supervisor.retry.baseDelayMs = opts.retryBaseMs;
     toptions.supervisor.retry.seed = opts.seed + 3;
     toptions.supervisor.stageDeadlineMs = opts.stageDeadlineMs;
-    toptions.pipelineDepth = opts.pipelineDepth;
-    toptions.stalenessBound = opts.stalenessBound;
     toptions.workers = opts.workers;
     toptions.workerProcs = opts.workerProcs;
     toptions.shards = opts.shards;
     toptions.workerHeartbeatMs = opts.workerHeartbeatMs;
     if (opts.workers == 0) {
         std::fprintf(stderr, "--workers must be >= 1\n");
-        return 2;
-    }
-    const bool sharded = opts.workers > 1 || opts.workerProcs ||
-                         opts.shards > 0;
-    if (sharded && opts.pipelineDepth > 0) {
-        std::fprintf(stderr, "--workers/--worker-procs/--shards and "
-                             "--pipeline-depth are mutually "
-                             "exclusive\n");
         return 2;
     }
     if (opts.resume && opts.checkpointPath.empty()) {
@@ -389,9 +363,7 @@ main(int argc, char **argv)
                 "wall_s=%.3f device_s=%.4f prep_s=%.4f "
                 "util=%.3f val_loss=%.4f guard_trips=%zu "
                 "retries=%zu deadline_misses=%zu degraded=%s "
-                "checkpointing=%s pipeline_depth=%zu staleness=%zu "
-                "max_staleness=%zu pipeline_stall_s=%.4f "
-                "workers=%zu worker_procs=%d shards=%zu "
+                "checkpointing=%s workers=%zu worker_procs=%d shards=%zu "
                 "worker_deaths=%zu worker_rebalances=%zu "
                 "out_of_core=%d rss_peak_mb=%.1f\n",
                 opts.dataset.c_str(), opts.model.c_str(),
@@ -400,9 +372,7 @@ main(int argc, char **argv)
                 r.deviceSeconds, r.preprocessSeconds,
                 r.deviceUtilization, r.valLoss, r.guardTrips,
                 r.retries, r.deadlineMisses, r.degradedMode.c_str(),
-                r.checkpointingDisabled ? "disabled" : "on",
-                opts.pipelineDepth, opts.stalenessBound,
-                r.maxStaleness, r.pipelineStallSeconds, r.workers,
+                r.checkpointingDisabled ? "disabled" : "on", r.workers,
                 r.workerProcs ? 1 : 0, r.shards, r.workerDeaths,
                 r.workerRebalances, src->resident() ? 0 : 1,
                 peakRssMb());

@@ -9,7 +9,7 @@
 # exercise polite failures, tools/chaos_kill exercises the impolite
 # one (SIGKILL, no destructors), and this driver closes the loop by
 # comparing the surviving run against a reference run byte for byte.
-# Section 6 covers the second fault domain (DESIGN.md "Worker-level
+# Section 5 covers the second fault domain (DESIGN.md "Worker-level
 # fault domains"): tools/chaos_worker_kill SIGKILLs individual
 # --worker-procs workers while the supervisor stays up.
 #
@@ -72,7 +72,11 @@ echo "ok   [reference]"
 # --- 2. Chaos run: $KILLS SIGKILLs, $WINDOW_KILLS inside the write
 # window. The injected checkpoint-stage latency widens the write
 # window (marker is touched before the latency applies) so window
-# kills land reliably; latency never changes the trajectory.
+# kills land reliably; latency never changes the trajectory. The
+# writes run on the session's background writer, so at 40ms the gap
+# between two windows is just the next snapshot's encode (0.7-2.5ms
+# for this workload on a 4-vCPU box), still several times
+# chaos_kill's 0.2ms marker poll.
 if CASCADE_FAULT_STAGE_LATENCY=checkpoint=40 \
     "$KILLER" --checkpoint "$WORK/chaos_ck.bin" \
         --kills "$KILLS" --window-kills "$WINDOW_KILLS" \
@@ -130,36 +134,7 @@ else
         "$WORK/chaos.log"
 fi
 
-# --- 4. Pipelined chaos: the same workload through the asynchronous
-# pipeline (S=0), SIGKILLed mid-pipeline. The drain-then-snapshot
-# barrier means every on-disk generation was encoded with zero batches
-# in flight, so recovery must land on the *same* byte-identical model
-# as the synchronous reference.
-# A lighter write latency than the synchronous soak: the pipeline's
-# writer thread runs commits back to back, so 40ms would merge the
-# marker windows into one long stretch and starve the kill scheduler
-# of distinct cycles. 10ms keeps the windows separated (and still
-# wide enough for the window kill to land).
-if CASCADE_FAULT_STAGE_LATENCY=checkpoint=10 \
-    "$KILLER" --checkpoint "$WORK/pipe_ck.bin" \
-        --kills 4 --window-kills 1 --min-cycles 1 --max-cycles 2 \
-        --seed "$SEED" --round-timeout-s 60 -- \
-        $BIN $WORKLOAD --pipeline-depth 4 --staleness-bound 0 \
-        --checkpoint "$WORK/pipe_ck.bin" \
-        --save "$WORK/pipe.model" >"$WORK/pipe.log" 2>&1; then
-    echo "ok   [pipeline-chaos-run]"
-else
-    fail pipeline-chaos-run "chaos_kill exited non-zero" "$WORK/pipe.log"
-fi
-if cmp -s "$WORK/ref.model" "$WORK/pipe.model"; then
-    echo "ok   [pipeline-model-bit-identical]"
-else
-    fail pipeline-model-bit-identical \
-        "pipelined chaos model differs from the synchronous reference" \
-        "$WORK/pipe.log"
-fi
-
-# --- 5. Torn newest generation: corrupt the head checkpoint of a
+# --- 4. Torn newest generation: corrupt the head checkpoint of a
 # finished run, resume, and verify recovery falls back to the
 # previous generation instead of dying or trusting garbage.
 if ! $BIN $WORKLOAD --checkpoint "$WORK/torn_ck.bin" \
@@ -186,7 +161,7 @@ else
     fi
 fi
 
-# --- 6. Worker fault domains: the same workload sharded across 4
+# --- 5. Worker fault domains: the same workload sharded across 4
 # worker processes, with chaos_worker_kill SIGKILLing 2 of them by
 # PID mid-run (uncooperative, wall-clock-timed — the kill can land
 # mid-compute or mid-frame). The supervisor must detect each death,

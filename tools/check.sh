@@ -3,8 +3,9 @@
 #
 #   tools/check.sh            # everything: lint, tidy, analyze, then
 #                             # default + sanitize + tsan suites, the
-#                             # fault matrix, the bench smoke, and the
-#                             # chaos soak (tools/chaos_soak.sh)
+#                             # fault matrix, the bench smokes (incl.
+#                             # perfbench/selftest.py), and the chaos
+#                             # soak (tools/chaos_soak.sh)
 #   tools/check.sh <regex>    # same, only tests matching regex
 #   tools/check.sh -s [re]    # sanitize preset only (old behaviour)
 #   tools/check.sh -q         # quick static gate (seconds): the
@@ -24,10 +25,8 @@ set -e
 cd "$(dirname "$0")/.."
 
 # ------------------------------------------------------------------
-# Stage 1: Cascade-invariant linter (replaces the hand-rolled
-# deprecated-API grep this script used to carry; the rule now lives in
-# lint_cascade.py as `deprecated-api` alongside the determinism,
-# iostream, metric-name, and raw-mutex contracts).
+# Stage 1: Cascade-invariant linter (determinism, iostream,
+# metric-name, raw-mutex and the other lint_cascade.py contracts).
 # ------------------------------------------------------------------
 run_lint() {
     python3 tools/lint_cascade.py --self-test
@@ -126,37 +125,16 @@ TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
 # Hot-path bench smoke: seconds-long shapes, verifies the runner and
 # the JSON it emits stay healthy. Also run it under TSan so the
 # parallel GEMM paths see race detection with real thread counts.
-cmake --build --preset default -j "$(nproc)" \
-    --target bench_hotpath bench_pipeline
+cmake --build --preset default -j "$(nproc)" --target bench_hotpath
 ./build/tools/bench_hotpath --smoke --out build/BENCH_hotpath_smoke.json
-./build/tools/bench_pipeline --smoke \
-    --out build/BENCH_pipeline_smoke.json
 cmake --build --preset tsan -j "$(nproc)" --target bench_hotpath
 TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
     ./build-tsan/tools/bench_hotpath --smoke \
     --out build-tsan/BENCH_hotpath_smoke.json
 
-# Pipeline smoke (mirrors the CI pipeline-smoke job): one real WIKI
-# epoch through every pipeline thread under TSan — S=0 byte-identical
-# to the synchronous loop, S=2 inside the staleness bound.
-cmake --build --preset tsan -j "$(nproc)" --target cascade_train_cli
-PIPE_WORK="$(mktemp -d)"
-PIPE_ARGS="--dataset wiki --scale 50 --epochs 1 --seed 42 \
-    --policy cascade --checkpoint-every 10"
-TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
-    ./build-tsan/tools/cascade_train $PIPE_ARGS \
-    --save "$PIPE_WORK/sync.model" >/dev/null
-TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
-    ./build-tsan/tools/cascade_train $PIPE_ARGS \
-    --pipeline-depth 4 --staleness-bound 0 \
-    --save "$PIPE_WORK/pipe0.model" >/dev/null
-cmp "$PIPE_WORK/sync.model" "$PIPE_WORK/pipe0.model"
-TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
-    ./build-tsan/tools/cascade_train $PIPE_ARGS \
-    --pipeline-depth 4 --staleness-bound 2 \
-    | grep -Eq "max_staleness=[0-2] "
-rm -rf "$PIPE_WORK"
-echo "check.sh: pipeline smoke passed (S=0 bit-identical, S=2 bounded)"
+# The repo benchmark at smoke size (mirrors the CI bench-smoke job):
+# metrics, span tree, determinism, gates and compare.py verdicts.
+python3 perfbench/selftest.py
 
 # Worker smoke (mirrors the CI worker-chaos-smoke job): a sharded
 # 4-worker-process run with one worker SIGKILLed mid-epoch must fold
@@ -198,7 +176,7 @@ echo "check.sh: serve smoke passed (socket round-trip + exact match)"
 
 # Chaos soak: seeded SIGKILLs against the real CLI (some inside the
 # checkpoint write window), every relaunch resumes, worker processes
-# are killed by PID (section 6), and the final trajectory must be
+# are killed by PID (section 5), and the final trajectory must be
 # byte-identical to an uninterrupted run.
 cmake --build --preset default -j "$(nproc)" \
     --target cascade_train_cli chaos_kill chaos_worker_kill

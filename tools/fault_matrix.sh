@@ -149,27 +149,8 @@ run_case older-gen-resume 0 "generation 1" older_resume.log -- -- \
     $COMMON --policy cascade --checkpoint "$WORK/ck_older.bin" \
     --checkpoint-every 1 --checkpoint-keep 3 --resume
 
-# 13. Pipeline overload: the boundary stage is slowed far past the
-#     stage deadline, so the model thread starves at the plan queue.
-#     After the strike budget the pipeline must drain, fall back to
-#     the synchronous loop (one-way), and still finish the epoch.
-run_case pipeline-overload 0 "degraded=pipeline-synchronous" \
-    pipe_overload.log -- \
-    "CASCADE_FAULT_STAGE_LATENCY=boundary=50" -- \
-    $COMMON --policy cascade --pipeline-depth 2 --stage-deadline-ms 5
-
-# 14. Checkpoint writes fail persistently while the pipeline's drain
-#     barrier is snapshotting every batch: the writer thread's
-#     supervised writes exhaust their retry budget, checkpointing
-#     degrades off, and the pipelined run itself completes.
-run_case pipeline-ckpt-fail 0 "checkpointing=disabled" pipe_ckpt.log -- \
-    CASCADE_FAULT_WRITE_FAIL_NTH=1 CASCADE_FAULT_WRITE_FAIL_COUNT=1000000 -- \
-    $COMMON --policy cascade --pipeline-depth 2 \
-    --checkpoint "$WORK/ck_pipe.bin" --checkpoint-every 1 \
-    --retry-max 2 --retry-base-ms 0
-
-# 15. Worker SIGKILLs itself mid-epoch (the cooperative knob — the
-#     uncooperative by-PID variant lives in chaos_soak.sh section 6):
+# 13. Worker SIGKILLs itself mid-epoch (the cooperative knob — the
+#     uncooperative by-PID variant lives in chaos_soak.sh section 5):
 #     the supervisor sees the socket close, folds the dead worker's
 #     shards into the survivor, and the run completes with the death
 #     on the books.
@@ -177,7 +158,7 @@ run_case worker-kill-recovers 0 "worker_deaths=1" worker_kill.log -- \
     CASCADE_FAULT_WORKER_KILL_NTH=4@1 -- \
     $COMMON --policy cascade --workers 2 --worker-procs --shards 4
 
-# 16. Worker hangs instead of dying: no EOF ever arrives, so only the
+# 14. Worker hangs instead of dying: no EOF ever arrives, so only the
 #     heartbeat watchdog can notice. The stall (2s) dwarfs the
 #     deadline (200ms); the supervisor must declare the worker dead,
 #     SIGKILL it, and finish without it.

@@ -51,12 +51,6 @@ unguarded-mutex
     be annotated — Clang only analyzes members and globals). A mutex
     that guards nothing it can name is either dead or undocumented.
 
-deprecated-api
-    No caller outside ``src/tensor/kernels*`` / ``src/tensor/tensor``
-    may reference the deprecated GEMM entry points
-    (``matmulTransARaw``/``matmulTransBRaw``/``matmulRaw``); use
-    ``kernels::gemm``. Subsumes the grep check.sh previously carried.
-
 tsan-supp-justified
     Every suppression entry in ``tools/tsan.supp`` must be directly
     preceded by a ``#`` justification comment — an unexplained
@@ -362,50 +356,6 @@ def rule_unguarded_mutex(root: str) -> List[Violation]:
     return out
 
 
-_DEPRECATED_API_RE = re.compile(
-    r"\bmatmul(?:TransA|TransB)?Raw\b"
-    r"|\b(?:save|load)Events(?:Csv|Binary)\b"
-)
-_DEPRECATED_API_ALLOWED = (
-    "src/tensor/kernels",  # defining TU + deprecated wrappers
-    "src/tensor/tensor",   # declaration site of the wrappers
-    "src/graph/io.",       # declaration site of the loader shims
-)
-
-
-_ALLOW_DEPRECATED = "cascade-lint: allow(deprecated-api)"
-
-
-def rule_deprecated_api(root: str) -> List[Violation]:
-    out = []
-    for path in iter_repo_files(
-        root, ["src", "tests", "bench", "tools", "examples"]
-    ):
-        relpath = rel(root, path)
-        if any(relpath.startswith(a) for a in _DEPRECATED_API_ALLOWED):
-            continue
-        with open(path, encoding="utf-8") as f:
-            raw_lines = f.read().splitlines()
-        code_lines = strip_comments_and_strings(
-            "\n".join(raw_lines)
-        ).splitlines()
-        for i, (line, raw) in enumerate(zip(code_lines, raw_lines), 1):
-            if _DEPRECATED_API_RE.search(line) and (
-                _ALLOW_DEPRECATED not in raw
-            ):
-                out.append(
-                    Violation(
-                        relpath,
-                        i,
-                        "deprecated-api",
-                        "deprecated GEMM entry point; use "
-                        "kernels::gemm / kernels::gemmAcc, or "
-                        f"justify with '{_ALLOW_DEPRECATED}'",
-                    )
-                )
-    return out
-
-
 def rule_tsan_supp_justified(root: str) -> List[Violation]:
     path = os.path.join(root, "tools", "tsan.supp")
     if not os.path.isfile(path):
@@ -656,7 +606,6 @@ RULES: List[tuple[str, Callable[[str], List[Violation]]]] = [
     ("metric-name", rule_metric_name),
     ("raw-mutex", rule_raw_mutex),
     ("unguarded-mutex", rule_unguarded_mutex),
-    ("deprecated-api", rule_deprecated_api),
     ("tsan-supp-justified", rule_tsan_supp_justified),
     ("cv-wait-predicate", rule_cv_wait_predicate),
     ("raw-process", rule_raw_process),
@@ -697,13 +646,6 @@ _SELF_TEST_CASES = {
         "src/util/victim2.cc",
         "AnnotatedMutex lonely_;\n",
         "AnnotatedMutex lonely_; // guards the frob cache (local)\n",
-    ),
-    "deprecated-api": (
-        "src/nn/victim.cc",
-        "void f() { matmulTransARaw(a, b, c); }\n"
-        "bool g() { return loadEventsCsv(seq, path); }\n",
-        "void f() { kernels::gemm(a, b, c); }\n"
-        "bool g() { return Dataset::open(path) != nullptr; }\n",
     ),
     "tsan-supp-justified": (
         "tools/tsan.supp",
