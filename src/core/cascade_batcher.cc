@@ -10,7 +10,7 @@ namespace cascade {
 CascadeBatcher::CascadeBatcher(const EventSource &src,
                                const TemporalAdjacency &adj,
                                size_t train_end, Options opts)
-    : opts_(opts), trainEnd_(train_end)
+    : opts_(opts)
 {
     TgDiffuser::Options dopts;
     dopts.chunkSize = opts.chunkSize;
@@ -62,34 +62,9 @@ CascadeBatcher::reset()
 size_t
 CascadeBatcher::next(size_t st)
 {
-    if (staticMode_) {
-        // Last ladder rung: fixed-size batches, no table lookups (and
-        // thus no chunk builds), so this path cannot fail.
-        CASCADE_CHECK(st < trainEnd_, "CascadeBatcher: st out of range");
-        return std::min(trainEnd_, st + opts_.baseBatch);
-    }
     const std::vector<uint8_t> &stable = opts_.enableSgFilter
         ? sgFilter_->stableFlags() : noStable_;
     return diffuser_->lastTolerableEnd(st, stable);
-}
-
-std::string
-CascadeBatcher::degradeOnce()
-{
-    if (!staticMode_ && diffuser_->pipelined()) {
-        diffuser_->disablePipeline();
-        CASCADE_LOG("degrade: chunk-table prefetching disabled; "
-                    "tables now rebuild synchronously");
-        return "synchronous";
-    }
-    if (!staticMode_) {
-        staticMode_ = true;
-        CASCADE_LOG("degrade: dependency-aware batching abandoned; "
-                    "falling back to static %zu-event batches",
-                    opts_.baseBatch);
-        return "static";
-    }
-    return "";
 }
 
 void

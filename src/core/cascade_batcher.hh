@@ -75,22 +75,6 @@ class CascadeBatcher : public Batcher
     /** Rollback: halve the ABS Max_r ceiling before retrying. */
     void onNumericRollback() override;
 
-    /**
-     * Graceful-degradation ladder (one-way):
-     *   rung 0  pipelined chunk builds (Cascade_EX as configured)
-     *   rung 1  "synchronous" — prefetching off, tables rebuild on
-     *           the training thread (skipped if never pipelined)
-     *   rung 2  "static" — dependency lookups abandoned; fixed
-     *           baseBatch-sized batches clipped to train_end, which
-     *           cannot fail and always finishes the epoch
-     * Degradation state is deliberately not checkpointed: a resumed
-     * run starts back at full capability.
-     */
-    std::string degradeOnce() override;
-
-    /** Static fixed-size fallback active (last ladder rung)? */
-    bool staticFallback() const { return staticMode_; }
-
     /** Bind the diffuser/filter/sensor instruments into `registry`. */
     void bindMetrics(obs::MetricsRegistry &registry) override;
     /** Drop the bound instruments (registry about to go away). */
@@ -119,14 +103,11 @@ class CascadeBatcher : public Batcher
 
   private:
     Options opts_;
-    size_t trainEnd_;
     std::unique_ptr<TgDiffuser> diffuser_;
     std::unique_ptr<SgFilter> sgFilter_;
     std::unique_ptr<AdaptiveBatchSensor> abs_;
     double profileSeconds_ = 0.0;
     std::vector<uint8_t> noStable_;
-    /** Last ladder rung: fixed-size batches, no dependency lookups. */
-    bool staticMode_ = false;
 };
 
 } // namespace cascade

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.hh"
 #include "util/binio.hh"
-#include "util/fault.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
 #include "util/timer.hh"
@@ -57,7 +56,6 @@ TgDiffuser::bindMetrics(obs::MetricsRegistry &registry)
     lookupHist_ = &registry.histogram("stage.lookup.seconds");
     prepGauge_ = &registry.gauge("diffuser.preprocess_seconds");
     tableBytesGauge_ = &registry.gauge("diffuser.table_bytes");
-    buildFailCounter_ = &registry.counter("diffuser.build_failures");
     prepGauge_->set(prepSeconds_);
     tableBytesGauge_->set(static_cast<double>(tableBytes()));
 }
@@ -68,28 +66,6 @@ TgDiffuser::unbindMetrics()
     lookupHist_ = nullptr;
     prepGauge_ = nullptr;
     tableBytesGauge_ = nullptr;
-    buildFailCounter_ = nullptr;
-}
-
-void
-TgDiffuser::disablePipeline()
-{
-    if (pending_.active()) {
-        // Drain the in-flight prefetch: keep a clean table, discard a
-        // failed one (the failing prefetch is typically why we are
-        // degrading; its chunk rebuilds synchronously on next use).
-        const size_t c = pendingChunk_;
-        pendingChunk_ = SIZE_MAX;
-        try {
-            auto built = pending_.collect();
-            if (c < tables_.size() && !tables_[c])
-                tables_[c] = std::move(built);
-        } catch (...) {
-            if (buildFailCounter_)
-                buildFailCounter_->add(1);
-        }
-    }
-    opts_.pipeline = false;
 }
 
 const DependencyTable &
@@ -99,28 +75,16 @@ TgDiffuser::ensureChunk(size_t c)
     if (tables_[c])
         return *tables_[c];
     Timer t;
-    try {
-        if (pendingChunk_ == c && pending_.active()) {
-            // Pipelined build in flight: only the stall is
-            // preprocessing. collect() consumes the slot either way,
-            // so a failed prefetch leaves no stale pending state and
-            // the supervisor's retry rebuilds synchronously below.
-            pendingChunk_ = SIZE_MAX;
-            tables_[c] = pending_.collect();
-        } else {
-            fault::maybeFailChunkBuild(c);
-            tables_[c] =
-                std::make_unique<DependencyTable>(DependencyTable::build(
-                    src_, adj_, chunkBounds_[c].first,
-                    chunkBounds_[c].second));
-        }
-    } catch (...) {
-        prepSeconds_ += t.seconds();
-        if (prepGauge_)
-            prepGauge_->set(prepSeconds_);
-        if (buildFailCounter_)
-            buildFailCounter_->add(1);
-        throw;
+    if (pendingChunk_ == c && pending_.active()) {
+        // Pipelined build in flight: only the stall is preprocessing.
+        // The slot is released before collect(), so a failed prefetch
+        // leaves no stale pending state behind.
+        pendingChunk_ = SIZE_MAX;
+        tables_[c] = pending_.collect();
+    } else {
+        tables_[c] = std::make_unique<DependencyTable>(
+            DependencyTable::build(src_, adj_, chunkBounds_[c].first,
+                                   chunkBounds_[c].second));
     }
     prepSeconds_ += t.seconds();
     if (prepGauge_)
@@ -145,8 +109,7 @@ TgDiffuser::enterChunk(size_t c)
         pendingChunk_ == SIZE_MAX) {
         const auto [lo, hi] = chunkBounds_[c + 1];
         pendingChunk_ = c + 1;
-        pending_.launch([this, next = c + 1, lo, hi] {
-            fault::maybeFailChunkBuild(next);
+        pending_.launch([this, lo, hi] {
             return std::make_unique<DependencyTable>(
                 DependencyTable::build(src_, adj_, lo, hi));
         });

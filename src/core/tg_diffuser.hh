@@ -13,7 +13,8 @@
  * at chunk boundaries) and optionally *pipelined*: chunk k+1's table
  * builds on a worker thread while chunk k trains, so only the stall
  * time is charged as preprocessing (§4.2, evaluated as Cascade_EX in
- * §5.5).
+ * §5.5). The build is deterministic, so nothing retries it: a
+ * prefetch that throws rethrows at the lookup that needs its table.
  */
 
 #ifndef CASCADE_CORE_TG_DIFFUSER_HH
@@ -36,7 +37,6 @@ namespace obs {
 class MetricsRegistry;
 class Histogram;
 class Gauge;
-class Counter;
 }
 
 /** Adaptive batch-boundary search over the dependency table. */
@@ -89,18 +89,6 @@ class TgDiffuser
     /** Rewind pointers/chunk cursor for a new epoch. */
     void resetEpoch();
 
-    /**
-     * Degradation-ladder rung: stop prefetching chunk tables on a
-     * worker thread. Any in-flight prefetch is drained first — a
-     * clean result is kept, a failed one is discarded so the next
-     * ensureChunk rebuilds synchronously. One-way for the lifetime of
-     * this diffuser; harmless when pipelining was never on.
-     */
-    void disablePipeline();
-
-    /** Pipelined prefetching currently enabled? */
-    bool pipelined() const { return opts_.pipeline; }
-
     /** Table building seconds; pipelined builds charge only stalls. */
     double preprocessSeconds() const { return prepSeconds_; }
 
@@ -144,14 +132,11 @@ class TgDiffuser
 
   private:
     /**
-     * Table for chunk c, building or waiting as needed.
-     *
-     * Exception-safe: a failed build — whether thrown by the
-     * pipelined worker (surfacing here through the future) or by a
-     * synchronous rebuild — leaves no broken table cached and no
-     * stale pending state, counts into `diffuser.build_failures`,
-     * and propagates to the caller (the batch-boundary stage), where
-     * the session's supervisor retries or degrades.
+     * Table for chunk c, building or waiting as needed. A failed
+     * build — thrown by the prefetch worker (surfacing here through
+     * the AsyncCell) or by a synchronous build — caches no table,
+     * leaves no pending state and propagates to the caller (the
+     * session's boundary stage).
      */
     const DependencyTable &ensureChunk(size_t c);
 
@@ -193,7 +178,6 @@ class TgDiffuser
     obs::Histogram *lookupHist_ = nullptr;
     obs::Gauge *prepGauge_ = nullptr;
     obs::Gauge *tableBytesGauge_ = nullptr;
-    obs::Counter *buildFailCounter_ = nullptr;
 };
 
 } // namespace cascade

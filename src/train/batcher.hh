@@ -105,17 +105,6 @@ class Batcher
     virtual void onNumericRollback() {}
 
     /**
-     * Graceful-degradation hook: the supervisor exhausted its retry
-     * budget on the batch-boundary stage and asks the policy to step
-     * down one rung of its ladder (e.g. pipelined chunk builds →
-     * synchronous rebuilds → static fixed-size batching). Transitions
-     * are one-way for the batcher's lifetime.
-     * @return the new mode's name (for the run report), or "" when no
-     *         further degradation exists (default: no ladder)
-     */
-    virtual std::string degradeOnce() { return ""; }
-
-    /**
      * Attach the run's metrics registry. Policies with internal
      * accumulators (lookup seconds, stable-update tallies, Max_r)
      * publish them as named instruments; the bespoke accessors above

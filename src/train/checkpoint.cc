@@ -11,7 +11,7 @@ namespace cascade {
 namespace {
 
 constexpr uint32_t kMagic = 0x4353434b; // "CSCK"
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 
 } // namespace
 
@@ -36,7 +36,6 @@ encodeCheckpoint(const TgnnModel &model, const Batcher &batcher,
         w.f64(es.trainLoss);
         w.u64(es.batches);
         w.f64(es.avgBatchSize);
-        w.f64(es.wallSeconds);
         w.f64(es.deviceSeconds);
         w.f64(es.stableUpdateRatio);
     }
@@ -84,8 +83,8 @@ decodeCheckpoint(const std::string &payload, TgnnModel &model,
     for (EpochStats &es : cur.completed) {
         uint64_t batches = 0;
         if (!r.f64(es.trainLoss) || !r.u64(batches) ||
-            !r.f64(es.avgBatchSize) || !r.f64(es.wallSeconds) ||
-            !r.f64(es.deviceSeconds) || !r.f64(es.stableUpdateRatio)) {
+            !r.f64(es.avgBatchSize) || !r.f64(es.deviceSeconds) ||
+            !r.f64(es.stableUpdateRatio)) {
             CASCADE_LOG("checkpoint: truncated epoch stats");
             return false;
         }

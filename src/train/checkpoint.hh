@@ -10,7 +10,8 @@
  * trainer's own cursor (epoch, batch position, running loss sums and
  * finished-epoch stats). Restarting from a checkpoint replays the
  * exact trajectory the uninterrupted run would have taken; only
- * wall-clock measurements differ.
+ * wall-clock measurements differ. Wall time is not part of the
+ * payload, so two runs of one trajectory write identical bytes.
  *
  * On-disk framing (written through util/binio.hh, so the file also
  * carries a CRC32 footer and is committed atomically):
@@ -19,6 +20,7 @@
  *   cursor: u64 epoch, st, batchIndex, globalBatch, totalBatches,
  *           totalEvents, epochEvents; f64 lossSum
  *   u64 #completed epochs, then per epoch the EpochStats fields
+ *           except wallSeconds (restored epochs read 0)
  *   str batcher name (validated against the live policy on load)
  *   str batcher state blob
  *   str model state blob

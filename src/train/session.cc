@@ -1,6 +1,8 @@
 #include "train/session.hh"
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 
 #include "tensor/kernels.hh"
 #include "train/shard.hh"
@@ -81,8 +83,8 @@ TrainingSession::TrainingSession(TgnnModel &model,
     model_.bindMetrics(*metrics_);
     kernels::bindMetrics(*metrics_);
 
-    supervisor_ = std::make_unique<Supervisor>(options_.supervisor,
-                                               *metrics_, trace_);
+    supervisor_ =
+        std::make_unique<Supervisor>(options_.retry, *metrics_, trace_);
 
     CASCADE_CHECK(options_.workers >= 1,
                   "TrainingSession: --workers must be >= 1");
@@ -204,42 +206,24 @@ TrainingSession::runBatch()
     // Stage `boundary`: the batch-formation decision. For Cascade
     // policies the TG-Diffuser records its Algorithm 3 `lookup`
     // sub-stage into `stage.lookup.seconds` from inside this span.
-    // Supervised: a failing dependency-table build (Cascade_EX's
-    // chunk prefetch surfaces its exception here) is retried under
-    // the backoff policy; an exhausted budget steps the batcher down
-    // its degradation ladder and tries again with a fresh budget.
+    // A failed dependency-table build (Cascade_EX's prefetch surfaces
+    // its exception here) propagates out of run() like any other
+    // stage's exception: the build is deterministic, so a retry would
+    // fail the same way.
     size_t ed = 0;
     {
         StageScope stage(metrics_->histogram("stage.boundary.seconds"),
                          *trace_, "boundary");
-        auto wd = supervisor_->watch("boundary");
-        while (!supervisor_->runSupervised("boundary", [&] {
-                   ed = batcher_.next(st);
-                   return true;
-               })) {
-            const std::string mode = batcher_.degradeOnce();
-            if (mode.empty()) {
-                CASCADE_LOG("boundary stage still failing with the "
-                            "degradation ladder exhausted: %s",
-                            supervisor_->lastError().c_str());
-                CASCADE_FATAL("batch-boundary stage failed beyond "
-                              "the degradation ladder");
-            }
-            recordDegradation(mode);
-            report_.degradedMode = mode;
-        }
+        ed = batcher_.next(st);
     }
     CASCADE_CHECK(ed > st && ed <= trainEnd_,
                   "batcher returned a bad range");
 
-    // Stage `model`: forward/backward/update. Watchdog only — a
-    // retry here would repeat a state-mutating step, so slow batches
-    // are counted (deadline misses), never re-run.
+    // Stage `model`: forward/backward/update.
     StepResult r;
     {
         StageScope stage(metrics_->histogram("stage.model.seconds"),
                          *trace_, "model");
-        auto wd = supervisor_->watch("model");
         r = workerGroup_
                 ? workerGroup_->runBatch(
                       static_cast<uint64_t>(cur_.globalBatch), st, ed)
@@ -388,15 +372,19 @@ TrainingSession::writeCheckpoint(const std::string &payload,
         return;
     }
     // Write-window marker: present exactly while the commit (and any
-    // injected checkpoint-stage latency) is in flight. A process
-    // killed inside this window leaves the marker behind — the chaos
-    // harness uses that to prove its kills landed mid-write, and the
-    // next launch logs/counts the dirty marker.
+    // injected checkpoint latency) is in flight. A process killed
+    // inside this window leaves the marker behind — the chaos harness
+    // uses that to prove its kills landed mid-write, and the next
+    // launch logs/counts the dirty marker.
     const std::string marker =
         checkpointMarkerPath(options_.checkpointPath);
     if (!touchFile(marker))
         CASCADE_LOG("cannot create write marker %s", marker.c_str());
-    auto wd = supervisor_->watch("checkpoint");
+    const double inject_ms = fault::checkpointLatencyMs();
+    if (inject_ms > 0.0) {
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::milli>(inject_ms));
+    }
     const bool ok = supervisor_->runSupervised("checkpoint", [&] {
         return saveCheckpointRotated(options_.checkpointPath, payload,
                                      options_.checkpointKeep,
@@ -457,7 +445,8 @@ TrainingSession::assembleReport()
     report_.epochs = cur_.completed;
     report_.totalBatches = static_cast<size_t>(cur_.totalBatches);
     // Wall time only covers this process's work: epochs restored from
-    // a checkpoint keep the wall time they measured before the crash.
+    // a checkpoint come back with wallSeconds = 0 (checkpoints do not
+    // carry wall time, so equal trajectories write equal bytes).
     report_.wallSeconds = 0.0;
     for (const EpochStats &es : report_.epochs)
         report_.wallSeconds += es.wallSeconds;
@@ -483,10 +472,6 @@ TrainingSession::assembleReport()
 
     // Supervised-execution accounting (degradedMode and the disabled
     // flag were recorded at their transition points).
-    report_.retries = static_cast<size_t>(
-        metrics_->counter("supervisor.retries").value());
-    report_.deadlineMisses = static_cast<size_t>(
-        metrics_->counter("supervisor.deadline_misses").value());
     report_.degradations = static_cast<size_t>(
         metrics_->counter("degrade.transitions").value());
     report_.checkpointRetries = static_cast<size_t>(

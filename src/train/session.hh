@@ -17,14 +17,13 @@
  *   checkpoint — cadence snapshot encode; the supervised file write
  *                of that snapshot runs in the background (below)
  *
- * plus a post-training `eval` stage. Failure-prone stages run under a
- * Supervisor (train/supervisor.hh): the boundary decision and the
- * checkpoint writes retry with deterministic backoff, and when a
- * retry budget exhausts the session steps down a graceful-degradation
- * ladder (Batcher::degradeOnce for batching; a one-way
- * "checkpointing disabled" mode for durability) instead of dying —
- * an epoch always completes. Every stage runs under a trace
- * span (epoch > batch > stage, chrome://tracing JSON via
+ * plus a post-training `eval` stage. Checkpoint writes, the one stage
+ * a full disk can fail, run under a Supervisor (train/supervisor.hh):
+ * they retry with exponential backoff, and when the budget exhausts
+ * the session enters a one-way "checkpointing disabled" mode instead
+ * of dying. Any other stage's exception (a failed dependency-table
+ * build included) propagates out of run(). Every stage runs under a
+ * trace span (epoch > batch > stage, chrome://tracing JSON via
  * obs::TraceRecorder) and records its seconds into a
  * `stage.<name>.seconds` histogram in the session's MetricsRegistry;
  * the TrainReport is assembled *from* the registry afterwards instead
@@ -166,7 +165,8 @@ class TrainingSession
      * counts subsequent cadence points) — durability degrades, the
      * training run itself never dies on a full disk. Cadence writes
      * run on pendingWrite_'s thread; the final write on the training
-     * thread.
+     * thread. Injected checkpoint latency (util/fault.hh) sleeps
+     * inside the write window, between the marker and the save.
      */
     void writeCheckpoint(const std::string &payload, const char *what);
 

@@ -7,36 +7,23 @@
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "util/fault.hh"
 #include "util/logging.hh"
 
 namespace cascade {
 
-RetryPolicy::RetryPolicy(const RetryOptions &options)
-    : options_(options), rng_(options.seed)
-{}
-
 double
-RetryPolicy::delayMs(size_t retryIndex)
+RetryPolicy::delayMs(size_t retryIndex) const
 {
-    double delay = options_.baseDelayMs;
-    for (size_t i = 0; i < retryIndex; ++i) {
-        delay *= options_.multiplier;
-        if (delay >= options_.maxDelayMs)
-            break;
-    }
-    delay = std::min(delay, options_.maxDelayMs);
-    // The jitter draw always advances the RNG, even at jitterFrac 0,
-    // so schedules with and without jitter stay call-for-call aligned.
-    const double u = rng_.uniform();
-    return delay * (1.0 + options_.jitterFrac * u);
+    double delay = std::min(options_.baseDelayMs, kMaxDelayMs);
+    for (size_t i = 0; i < retryIndex && delay < kMaxDelayMs; ++i)
+        delay = std::min(delay * 2.0, kMaxDelayMs);
+    return delay;
 }
 
-Supervisor::Supervisor(const SupervisorOptions &options,
+Supervisor::Supervisor(const RetryOptions &options,
                        obs::MetricsRegistry &metrics,
                        obs::TraceRecorder *trace)
-    : options_(options), retry_(options.retry), metrics_(metrics),
-      trace_(trace),
+    : retry_(options), metrics_(metrics), trace_(trace),
       sleeper_([](double ms) {
           if (ms > 0.0) {
               std::this_thread::sleep_for(
@@ -52,52 +39,30 @@ Supervisor::setSleeper(std::function<void(double)> sleeper)
         sleeper_ = std::move(sleeper);
 }
 
-void
-Supervisor::setLastError(const std::string &what)
-{
-    LockGuard lock(errMutex_);
-    lastError_ = what;
-}
-
 bool
 Supervisor::runSupervised(const std::string &stage,
                           const std::function<bool()> &op)
 {
-    // The retry budget is immutable configuration; read it from
-    // options_ rather than through the lock-guarded policy.
-    const size_t max_retries = options_.retry.maxRetries;
+    const size_t max_retries = retry_.maxRetries();
     for (size_t attempt = 0;; ++attempt) {
         bool ok = false;
-        std::string error;
-        bool threw = false;
+        std::string error = "operation reported failure";
         try {
             ok = op();
         } catch (const std::exception &e) {
-            threw = true;
             error = e.what();
         } catch (...) {
-            threw = true;
             error = "non-standard exception";
         }
         if (ok)
             return true;
-        if (!threw)
-            error = "operation reported failure";
-        setLastError(error);
         metrics_.counter(stage + ".failures").add(1);
         if (attempt >= max_retries) {
             CASCADE_LOG("stage %s failed after %zu attempt(s): %s",
                         stage.c_str(), attempt + 1, error.c_str());
             return false;
         }
-        double delay = 0.0;
-        {
-            // The jitter RNG advances on every draw; serialize draws
-            // so concurrent supervised stages cannot interleave
-            // updates to its state.
-            LockGuard lock(retryMutex_);
-            delay = retry_.delayMs(attempt);
-        }
+        const double delay = retry_.delayMs(attempt);
         metrics_.counter("supervisor.retries").add(1);
         metrics_.counter(stage + ".retries").add(1);
         CASCADE_LOG("stage %s failed (%s); retry %zu/%zu in %.1f ms",
@@ -112,57 +77,6 @@ Supervisor::runSupervised(const std::string &stage,
             sleeper_(delay);
         }
     }
-}
-
-Supervisor::WatchdogSpan::WatchdogSpan(Supervisor *sup,
-                                       std::string stage)
-    : sup_(sup), stage_(std::move(stage))
-{
-    // Fault-injected stage latency: a real sleep, charged *inside*
-    // the measured window, so deadline misses reproduce
-    // deterministically when the injected latency dominates the
-    // deadline.
-    timer_.reset();
-    const double inject = fault::stageLatencyMs(stage_);
-    if (inject > 0.0)
-        sup_->sleeper_(inject);
-}
-
-Supervisor::WatchdogSpan::WatchdogSpan(WatchdogSpan &&other) noexcept
-    : sup_(other.sup_), stage_(std::move(other.stage_)),
-      timer_(other.timer_)
-{
-    other.sup_ = nullptr;
-}
-
-Supervisor::WatchdogSpan::~WatchdogSpan()
-{
-    if (!sup_)
-        return;
-    const double elapsed_ms = timer_.milliseconds();
-    const double deadline = sup_->options_.stageDeadlineMs;
-    if (deadline > 0.0 && elapsed_ms > deadline)
-        sup_->recordDeadlineMiss(stage_, elapsed_ms);
-}
-
-Supervisor::WatchdogSpan
-Supervisor::watch(const std::string &stage)
-{
-    return WatchdogSpan(this, stage);
-}
-
-void
-Supervisor::recordDeadlineMiss(const std::string &stage,
-                               double elapsedMs)
-{
-    metrics_.counter("supervisor.deadline_misses").add(1);
-    metrics_.counter(stage + ".deadline_misses").add(1);
-    CASCADE_LOG("watchdog: stage %s ran %.1f ms, past its %.1f ms "
-                "deadline",
-                stage.c_str(), elapsedMs,
-                options_.stageDeadlineMs);
-    if (trace_)
-        trace_->span(stage + "-deadline-miss", "supervisor").end();
 }
 
 } // namespace cascade

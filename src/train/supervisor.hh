@@ -1,48 +1,37 @@
 /**
  * @file
- * Supervised execution: deterministic retries and stage deadlines.
+ * Supervised execution: the checkpoint-write retry.
  *
- * Once the Cascade pipeline overlaps stages across threads (the
- * pipelined chunk builds of Cascade_EX, checkpoint writes racing a
- * full disk), a single failure must be *contained*, not fatal. This
- * layer gives the TrainingSession the two primitives that containment
- * needs:
+ * A checkpoint write is the one training stage that fails for a
+ * reason outside the program (a full or refusing disk), so it is the
+ * one stage the TrainingSession runs under a Supervisor:
  *
- *   RetryPolicy    — a seeded, fully deterministic backoff schedule
- *                    (exponential growth, bounded multiplicative
- *                    jitter). Two runs with the same seed and the
- *                    same fault plan retry at the same attempts with
- *                    the same delays, so resilience tests can assert
- *                    exact counters.
- *   Supervisor     — wraps a stage operation in a catch/retry loop
- *                    (`runSupervised`) and hands out watchdog spans
- *                    (`watch`) that measure a stage against a
- *                    deadline and count misses. Watchdogs also apply
- *                    fault-injected stage latency, which is how
- *                    deadline misses are provoked deterministically.
+ *   RetryPolicy    — a constant backoff schedule: baseDelayMs, doubled
+ *                    per retry, capped at kMaxDelayMs. Two runs with
+ *                    the same options and the same fault plan retry at
+ *                    the same attempts with the same delays, so
+ *                    resilience tests can assert exact counters.
+ *   Supervisor     — wraps an operation in a catch/retry loop
+ *                    (`runSupervised`) and reports whether it finally
+ *                    succeeded; the session decides what an exhausted
+ *                    budget means (checkpointing disabled).
  *
- * Both record into the session's MetricsRegistry (`supervisor.*` plus
- * per-stage `<stage>.retries` / `<stage>.failures` /
- * `<stage>.deadline_misses`) and, when a TraceRecorder is attached,
- * emit spans for retry waits and deadline misses so a trace dump
- * shows *when* the run was fighting failures.
+ * Retries record into the session's MetricsRegistry
+ * (`supervisor.retries` plus per-stage `<stage>.retries` /
+ * `<stage>.failures`) and, when a TraceRecorder is attached, each
+ * backoff wait emits a `<stage>-retry-wait` span.
  *
- * What the supervisor deliberately does not do: preempt a running
- * stage. Deadlines are observational (miss counters, logs, spans) —
- * cancelling arbitrary C++ work mid-flight is UB-bait; containment of
- * a stage that hangs forever belongs to process-level supervision.
+ * The Supervisor holds no mutable state, so cadence writes may run it
+ * on the background writer thread while the final write runs it on
+ * the training thread.
  */
 
 #ifndef CASCADE_TRAIN_SUPERVISOR_HH
 #define CASCADE_TRAIN_SUPERVISOR_HH
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <string>
-
-#include "util/rng.hh"
-#include "util/thread_annotations.hh"
-#include "util/timer.hh"
 
 namespace cascade {
 
@@ -51,70 +40,43 @@ class MetricsRegistry;
 class TraceRecorder;
 }
 
-/** Backoff schedule knobs (all deterministic given `seed`). */
+/** Retry budget and the first backoff delay. */
 struct RetryOptions
 {
     /** Retries after the first attempt; 0 = fail fast. */
     size_t maxRetries = 3;
     /** Delay before the first retry. */
     double baseDelayMs = 10.0;
-    /** Backoff ceiling (pre-jitter). */
-    double maxDelayMs = 2000.0;
-    /** Exponential growth factor per retry. */
-    double multiplier = 2.0;
-    /** Bounded jitter: delay *= 1 + jitterFrac * u, u in [0, 1). */
-    double jitterFrac = 0.1;
-    /** Jitter RNG seed (xoshiro via SplitMix64). */
-    uint64_t seed = 0x5eedba11ULL;
 };
 
-/**
- * Deterministic exponential-backoff schedule. delayMs(k) is the wait
- * before retry k (0-based); the jitter draw advances the internal RNG
- * so repeated calls yield the paper-standard decorrelated sequence,
- * yet identically-seeded policies yield identical sequences.
- */
+/** Exponential backoff: delayMs(k) = min(base * 2^k, kMaxDelayMs). */
 class RetryPolicy
 {
   public:
-    explicit RetryPolicy(const RetryOptions &options);
+    /** Backoff ceiling, ms. */
+    static constexpr double kMaxDelayMs = 2000.0;
+
+    explicit RetryPolicy(const RetryOptions &options) : options_(options)
+    {}
 
     size_t maxRetries() const { return options_.maxRetries; }
 
-    /** Backoff before retry `retryIndex`; advances the jitter RNG. */
-    double delayMs(size_t retryIndex);
+    /** Backoff before retry `retryIndex` (0-based). */
+    double delayMs(size_t retryIndex) const;
 
   private:
     RetryOptions options_;
-    Rng rng_;
 };
 
-/** Supervisor knobs carried inside TrainOptions. */
-struct SupervisorOptions
-{
-    /** Retry schedule for supervised stages (boundary, checkpoint). */
-    RetryOptions retry;
-    /**
-     * Per-stage deadline for watchdog spans; 0 disables deadline
-     * checking (the default: wall-clock-dependent counters must not
-     * fire on slow CI machines unless explicitly requested).
-     */
-    double stageDeadlineMs = 0.0;
-};
-
-/**
- * Failure containment for TrainingSession stages: catch/retry with
- * deterministic backoff, and watchdog deadline accounting.
- */
+/** Catch/retry with the backoff schedule above. */
 class Supervisor
 {
   public:
     /**
-     * @param metrics registry receiving supervisor.* instruments
-     * @param trace   optional; retry waits / misses emit spans
+     * @param metrics registry receiving the retry/failure counters
+     * @param trace   optional; each backoff wait emits a span
      */
-    Supervisor(const SupervisorOptions &options,
-               obs::MetricsRegistry &metrics,
+    Supervisor(const RetryOptions &options, obs::MetricsRegistry &metrics,
                obs::TraceRecorder *trace = nullptr);
 
     Supervisor(const Supervisor &) = delete;
@@ -132,73 +94,17 @@ class Supervisor
      * returning false or throwing; both count into
      * `<stage>.failures`. After each failure short of the budget the
      * supervisor backs off (`supervisor.retries`, `<stage>.retries`)
-     * and reruns. @return true once `op` succeeds; false when the
-     * retry budget is exhausted (see lastError()).
+     * and reruns. @return true once `op` succeeds; false (after
+     * logging the last error) when the retry budget is exhausted.
      */
     bool runSupervised(const std::string &stage,
                        const std::function<bool()> &op);
 
-    /**
-     * Message of the most recent failure runSupervised saw. Returns a
-     * copy: stages may retry on worker threads (the degradation
-     * ladder's pipelined rungs), so a reference into state another
-     * attempt can overwrite would be a use-after-write race.
-     */
-    std::string lastError() const
-    {
-        LockGuard lock(errMutex_);
-        return lastError_;
-    }
-
-    /**
-     * Deadline accounting for one stage execution. On construction
-     * applies fault-injected stage latency (a real sleep, so an
-     * injected 50 ms against a 5 ms deadline misses deterministically);
-     * on destruction compares elapsed wall time against the deadline
-     * and counts a miss into `supervisor.deadline_misses` and
-     * `<stage>.deadline_misses`.
-     */
-    class WatchdogSpan
-    {
-      public:
-        WatchdogSpan(WatchdogSpan &&other) noexcept;
-        WatchdogSpan &operator=(WatchdogSpan &&) = delete;
-        WatchdogSpan(const WatchdogSpan &) = delete;
-        WatchdogSpan &operator=(const WatchdogSpan &) = delete;
-        ~WatchdogSpan();
-
-      private:
-        friend class Supervisor;
-        WatchdogSpan(Supervisor *sup, std::string stage);
-
-        Supervisor *sup_ = nullptr;
-        std::string stage_;
-        Timer timer_;
-    };
-
-    /** Open a watchdog span over the named stage. */
-    WatchdogSpan watch(const std::string &stage);
-
-    /** Configured per-stage deadline (0 = disabled). */
-    double stageDeadlineMs() const { return options_.stageDeadlineMs; }
-
   private:
-    void recordDeadlineMiss(const std::string &stage, double elapsedMs);
-
-    /** Store a failure message for lastError(). */
-    void setLastError(const std::string &what) CASCADE_EXCLUDES(errMutex_);
-
-    SupervisorOptions options_;
-    /** Retry/deadline bookkeeping: the jitter RNG inside retry_ and
-     *  the failure message both mutate per attempt, and attempts may
-     *  run on whichever thread executes the supervised stage. */
-    AnnotatedMutex retryMutex_;
-    RetryPolicy retry_ CASCADE_GUARDED_BY(retryMutex_);
+    RetryPolicy retry_;
     obs::MetricsRegistry &metrics_;
     obs::TraceRecorder *trace_;
     std::function<void(double)> sleeper_;
-    mutable AnnotatedMutex errMutex_;
-    std::string lastError_ CASCADE_GUARDED_BY(errMutex_);
 };
 
 } // namespace cascade

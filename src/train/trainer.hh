@@ -12,7 +12,10 @@
  * trainModel() is a thin wrapper over TrainingSession
  * (train/session.hh), which decomposes each global batch into named,
  * observable stages. Use TrainingSession directly to attach a
- * MetricsRegistry / TraceRecorder or a per-batch observer.
+ * MetricsRegistry / TraceRecorder or a per-batch observer. The only
+ * supervised stage is the checkpoint write (TrainOptions::retry); its
+ * outcome and the degradation rungs taken land in the report's
+ * supervised-execution fields.
  */
 
 #ifndef CASCADE_TRAIN_TRAINER_HH
@@ -37,6 +40,8 @@ struct EpochStats
     double trainLoss = 0.0;     ///< event-weighted mean batch loss
     size_t batches = 0;
     double avgBatchSize = 0.0;
+    /** Measured by this process; not checkpointed, so an epoch
+     *  restored on resume reads 0. */
     double wallSeconds = 0.0;
     double deviceSeconds = 0.0;
     double stableUpdateRatio = 0.0; ///< Figure 5 series
@@ -47,7 +52,7 @@ struct TrainReport
 {
     std::vector<EpochStats> epochs;
 
-    double wallSeconds = 0.0;      ///< total training wall time
+    double wallSeconds = 0.0;      ///< this process's training wall time
     double deviceSeconds = 0.0;    ///< total modeled device time
     double preprocessSeconds = 0.0;///< table building + profiling
     double lookupSeconds = 0.0;    ///< batch-boundary search
@@ -74,18 +79,15 @@ struct TrainReport
 
     /** @name Supervised-execution accounting (train/supervisor.hh) */
     /** @{ */
-    /** Supervisor retries across all supervised stages. */
-    size_t retries = 0;
-    /** Watchdog deadline misses (0 unless a deadline was set). */
-    size_t deadlineMisses = 0;
-    /** Degradation-ladder rungs taken (batching + checkpointing). */
+    /** Degradation-ladder rungs taken (checkpointing-disabled,
+     *  checkpoint-fallback, worker-fold, worker-local). */
     size_t degradations = 0;
-    /** Batching mode the run ended in: "none" (healthy, full
-     *  capability), "synchronous" or "static" (ladder rungs). */
+    /** Worker mode the run ended in: "none" (healthy, full
+     *  capability), "worker-fold" or "worker-local" (train/shard.hh). */
     std::string degradedMode = "none";
     /** Checkpoint writes gave up and checkpointing was turned off. */
     bool checkpointingDisabled = false;
-    /** Checkpoint-stage retries (subset of `retries`). */
+    /** Checkpoint-write retries (the only supervised stage). */
     size_t checkpointRetries = 0;
     /** Individual checkpoint write attempts that failed. */
     size_t checkpointWriteFailures = 0;
@@ -153,8 +155,8 @@ struct TrainOptions
     bool resumeIfPossible = false;
     /** Per-batch loss/gradient health checks. */
     NumericGuardOptions guard;
-    /** Retry/backoff schedule and stage deadlines. */
-    SupervisorOptions supervisor;
+    /** Checkpoint-write retry budget and first backoff delay. */
+    RetryOptions retry;
 
     /**
      * Worker shards (train/shard.hh): number of workers computing the

@@ -24,7 +24,6 @@ struct State
     bool enospcArmed = false;
     bool nanArmed = false;
     bool crashArmed = false;
-    long chunkBudget = 0;
     /** Per-entry one-shot flags for cfg.workerKills. */
     std::vector<char> workerKillArmed;
     bool workerHangArmed = false;
@@ -34,10 +33,10 @@ struct State
 
 /**
  * The process-global trigger state and the mutex that guards every
- * access to it: the pipelined chunk build fires maybeFailChunkBuild
- * on a worker thread while the training thread consults the batch
- * triggers. Bundling the two lets -Wthread-safety check that no
- * trigger path reads the state without the lock.
+ * access to it: the background checkpoint writer consults the write
+ * triggers and the checkpoint latency while the training thread
+ * consults the batch triggers. Bundling the two lets -Wthread-safety
+ * check that no trigger path reads the state without the lock.
  */
 struct GuardedState
 {
@@ -62,8 +61,6 @@ arm(State &s)
     s.enospcArmed = s.cfg.enospcNth > 0;
     s.nanArmed = s.cfg.nanBatch >= 0;
     s.crashArmed = s.cfg.crashBatch >= 0;
-    s.chunkBudget = s.cfg.chunkBuildFailures > 0
-        ? s.cfg.chunkBuildFailures : 0;
     s.workerKillArmed.assign(s.cfg.workerKills.size(), 1);
     s.workerHangArmed = s.cfg.workerHangBatch >= 0 && s.cfg.hangMs > 0.0;
     s.injected = 0;
@@ -79,7 +76,6 @@ const char *const kKnownVars[] = {
     "CASCADE_FAULT_ENOSPC_NTH",
     "CASCADE_FAULT_NAN_BATCH",
     "CASCADE_FAULT_CRASH_BATCH",
-    "CASCADE_FAULT_CHUNK_BUILD_FAIL",
     "CASCADE_FAULT_STAGE_LATENCY",
     "CASCADE_FAULT_WORKER_KILL_NTH",
     "CASCADE_FAULT_WORKER_HANG_MS",
@@ -139,9 +135,7 @@ parseEnvConfig(Config &out, std::vector<std::string> &unknown,
                      error) ||
         !readLongVar("CASCADE_FAULT_NAN_BATCH", cfg.nanBatch, error) ||
         !readLongVar("CASCADE_FAULT_CRASH_BATCH", cfg.crashBatch,
-                     error) ||
-        !readLongVar("CASCADE_FAULT_CHUNK_BUILD_FAIL",
-                     cfg.chunkBuildFailures, error)) {
+                     error)) {
         return false;
     }
     if (cfg.failWriteCount <= 0) {
@@ -163,12 +157,17 @@ parseEnvConfig(Config &out, std::vector<std::string> &unknown,
         if (eq == std::string::npos || eq == 0 ||
             !parseDoubleStrict(text.substr(eq + 1), ms) || ms < 0.0) {
             error = "CASCADE_FAULT_STAGE_LATENCY: expected "
-                    "'<stage>=<ms>' with ms >= 0, got '" +
+                    "'checkpoint=<ms>' with ms >= 0, got '" +
                     text + "'";
             return false;
         }
-        cfg.latencyStage = text.substr(0, eq);
-        cfg.latencyMs = ms;
+        if (text.compare(0, eq, "checkpoint") != 0) {
+            error = "CASCADE_FAULT_STAGE_LATENCY: only the "
+                    "'checkpoint' stage takes injected latency, got '" +
+                    text + "'";
+            return false;
+        }
+        cfg.checkpointLatencyMs = ms;
     }
 
     const char *kills = std::getenv("CASCADE_FAULT_WORKER_KILL_NTH");
@@ -338,32 +337,16 @@ crashAfter(uint64_t globalBatch)
     return true;
 }
 
-void
-maybeFailChunkBuild(size_t chunk)
-{
-    {
-        GuardedState &g = guarded();
-        LockGuard lock(g.m);
-        State &s = ensureInitLocked(g);
-        if (s.chunkBudget <= 0)
-            return;
-        --s.chunkBudget;
-        ++s.injected;
-    }
-    throw InjectedFault("injected chunk-build failure (chunk " +
-                        std::to_string(chunk) + ")");
-}
-
 double
-stageLatencyMs(const std::string &stage)
+checkpointLatencyMs()
 {
     GuardedState &g = guarded();
     LockGuard lock(g.m);
     State &s = ensureInitLocked(g);
-    if (s.cfg.latencyStage.empty() || s.cfg.latencyStage != stage)
+    if (s.cfg.checkpointLatencyMs <= 0.0)
         return 0.0;
     ++s.injected;
-    return s.cfg.latencyMs;
+    return s.cfg.checkpointLatencyMs;
 }
 
 bool

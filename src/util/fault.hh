@@ -2,8 +2,9 @@
  * @file
  * Deterministic fault injection for resilience testing.
  *
- * A process-wide injector with seeded, countable trigger points that
- * the trainer, the TG-Diffuser and the binary-I/O layer consult.
+ * A process-wide injector with countable trigger points that the
+ * training session, the worker runtime and the binary-I/O layer
+ * consult.
  * Faults are configured either programmatically (tests) or from the
  * environment (CLI runs):
  *
@@ -42,18 +43,14 @@
  *                                     global batch K completes
  *                                     (one-shot; the trainer returns
  *                                     an interrupted report)
- *   CASCADE_FAULT_CHUNK_BUILD_FAIL=N  throw InjectedFault from the
- *                                     next N dependency-table chunk
- *                                     builds (pipelined worker-thread
- *                                     builds and synchronous rebuilds
- *                                     alike); drives the degradation
- *                                     ladder
- *   CASCADE_FAULT_STAGE_LATENCY=stage=ms
- *                                     add `ms` milliseconds of
- *                                     latency to every execution of
- *                                     the named session stage
- *                                     (boundary/model/checkpoint/…);
- *                                     drives deadline-miss testing
+ *   CASCADE_FAULT_STAGE_LATENCY=checkpoint=ms
+ *                                     sleep `ms` milliseconds inside
+ *                                     every checkpoint write window
+ *                                     (after the write marker, before
+ *                                     the save); widens the window the
+ *                                     chaos harness kills into.
+ *                                     `checkpoint` is the only stage
+ *                                     accepted
  *   CASCADE_FAULT_WORKER_KILL_NTH=B[@R][,...]
  *                                     worker rank R (default 0) of a
  *                                     multi-process sharded run
@@ -72,8 +69,8 @@
  *                                     command; with a short
  *                                     --worker-heartbeat-ms this
  *                                     deterministically trips the
- *                                     supervisor's watchdog deadline
- *                                     (one-shot)
+ *                                     worker group's heartbeat
+ *                                     deadline (one-shot)
  *
  * Values are parsed strictly: a malformed value ("3x", "", "1e")
  * aborts with a clear error instead of being silently coerced, and
@@ -90,21 +87,11 @@
 #define CASCADE_UTIL_FAULT_HH
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace cascade {
 namespace fault {
-
-/** Exception thrown by armed task/build triggers. */
-class InjectedFault : public std::runtime_error
-{
-  public:
-    explicit InjectedFault(const std::string &what)
-        : std::runtime_error(what)
-    {}
-};
 
 /** Injection plan; negative batch indices / zero counts disarm. */
 struct Config
@@ -126,12 +113,8 @@ struct Config
     long nanBatch = -1;
     /** Global batch after which training "crashes"; -1 = never. */
     long crashBatch = -1;
-    /** Throw from the next N chunk-table builds; 0 = never. */
-    long chunkBuildFailures = 0;
-    /** Stage name to slow down; empty = no latency injection. */
-    std::string latencyStage;
-    /** Injected latency per execution of latencyStage. */
-    double latencyMs = 0.0;
+    /** Sleep per checkpoint write window, ms; 0 = none. */
+    double checkpointLatencyMs = 0.0;
     /** (globalBatch, workerRank) pairs at which the matching forked
      *  worker SIGKILLs itself; each entry is one-shot. */
     std::vector<std::pair<long, long>> workerKills;
@@ -200,20 +183,11 @@ bool maybeInjectNan(uint64_t globalBatch, double &loss);
 bool crashAfter(uint64_t globalBatch);
 
 /**
- * Throw InjectedFault when chunk-build failures are armed (decrements
- * the budget). Called by the TG-Diffuser at the start of every
- * dependency-table chunk build, on whichever thread runs it.
+ * Injected latency for one checkpoint write window, in milliseconds;
+ * 0 when none is armed. The caller (TrainingSession::writeCheckpoint)
+ * performs the sleep, so the widened window is real wall time.
  */
-void maybeFailChunkBuild(size_t chunk);
-
-/**
- * Injected latency for one execution of the named stage, in
- * milliseconds; 0 when no latency is armed for it. The caller (the
- * supervisor's watchdog span) performs the actual sleep, so injected
- * latency is real wall time and deadline misses are deterministic
- * whenever latencyMs comfortably exceeds the deadline.
- */
-double stageLatencyMs(const std::string &stage);
+double checkpointLatencyMs();
 
 /**
  * True when the forked worker with rank `rank` should SIGKILL itself

@@ -156,8 +156,8 @@ class ThreadPool
  * A body that throws no longer terminates the process: the first
  * exception thrown on any worker (first-wins) is captured and
  * rethrown on the calling thread after every chunk has finished, so
- * callers can contain, retry or degrade. Chunks other than the
- * throwing one still run to completion.
+ * it propagates like an exception from a serial loop. Chunks other
+ * than the throwing one still run to completion.
  *
  * @param begin   first index
  * @param end     one past the last index

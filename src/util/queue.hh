@@ -27,8 +27,8 @@ namespace cascade {
  *
  * Lifecycle: launch() → active() → collect() (or drop()). collect()
  * joins the producer and rethrows anything it threw; drop() joins and
- * discards both value and exception (used when the consumer already
- * decided the result is unwanted — prefetch disable, destruction).
+ * discards both value and exception (used when the consumer no longer
+ * wants the result — destruction).
  */
 template <typename T>
 class AsyncCell

@@ -9,39 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 
 #include "core/dependency_table.hh"
+#include "dependency_oracle.hh"
 #include "graph/dataset.hh"
 
 using namespace cascade;
 
 namespace {
-
-/** Straight-from-the-paper reference implementation (O(N * E^2)). */
-std::vector<std::set<EventIdx>>
-bruteForceTable(const EventSequence &seq, size_t lo, size_t hi)
-{
-    std::vector<std::set<EventIdx>> table(seq.numNodes);
-    for (size_t n = 0; n < seq.numNodes; ++n) {
-        for (size_t i = lo; i < hi; ++i) {
-            const Event &e = seq.events[i];
-            if (e.src != static_cast<NodeId>(n) &&
-                e.dst != static_cast<NodeId>(n)) {
-                continue;
-            }
-            table[n].insert(static_cast<EventIdx>(i));
-            const NodeId q =
-                e.src == static_cast<NodeId>(n) ? e.dst : e.src;
-            for (size_t j = i + 1; j < hi; ++j) {
-                const Event &f = seq.events[j];
-                if (f.src == q || f.dst == q)
-                    table[n].insert(static_cast<EventIdx>(j));
-            }
-        }
-    }
-    return table;
-}
 
 /** The worked example of Figure 7(a): 12 events over nodes 1..9,a-d. */
 EventSequence

@@ -67,18 +67,6 @@ freshCascade(const Fixture &f)
     return CascadeBatcher(f.src, f.adj, f.trainEnd, copts);
 }
 
-/** Cascade_EX configuration: chunked tables with pipelined builds. */
-CascadeBatcher
-freshCascadeEx(const Fixture &f)
-{
-    CascadeBatcher::Options copts;
-    copts.baseBatch = f.spec.baseBatch;
-    copts.seed = 11;
-    copts.chunkSize = std::max<size_t>(1, f.trainEnd / 4);
-    copts.pipeline = true;
-    return CascadeBatcher(f.src, f.adj, f.trainEnd, copts);
-}
-
 TrainOptions
 baseOptions(const Fixture &f, size_t epochs = 2)
 {
@@ -183,6 +171,14 @@ TEST(Checkpoint, CursorRoundTrip)
     ASSERT_EQ(back.completed.size(), 2u);
     EXPECT_EQ(back.completed[1].trainLoss, 0.5);
     EXPECT_EQ(back.completed[1].batches, 6u);
+
+    // Wall time is not trajectory state: cursors that differ only in
+    // a completed epoch's wallSeconds encode to identical bytes, and
+    // a restored epoch reads 0.
+    TrainerCursor slow = cur;
+    slow.completed[1].wallSeconds = 12.5;
+    EXPECT_EQ(encodeCheckpoint(model, batcher, slow), payload);
+    EXPECT_EQ(back.completed[1].wallSeconds, 0.0);
 }
 
 TEST(Checkpoint, CorruptOrMismatchedPayloadLeavesTargetsUntouched)
@@ -406,86 +402,6 @@ TEST(FaultTolerance, CheckpointWriteFailureDoesNotKillTraining)
     EXPECT_TRUE(loadCheckpointFile(path, payload));
 }
 
-TEST(FaultTolerance, SingleChunkBuildFailureRetriesAndRecovers)
-{
-    Fixture f;
-
-    // Clean reference trajectory for the same Cascade_EX config.
-    fault::reset();
-    TgnnModel ref = freshModel(f);
-    CascadeBatcher rb = freshCascadeEx(f);
-    TrainReport want = trainModel(ref, f.src, f.adj, f.trainEnd, rb,
-                                  baseOptions(f));
-    EXPECT_EQ(want.retries, 0u);
-    EXPECT_EQ(want.degradedMode, "none");
-
-    // One pipelined build fails; the supervisor's synchronous retry
-    // rebuilds the identical table, so the trajectory is unchanged.
-    fault::Config fc;
-    fc.chunkBuildFailures = 1;
-    FaultScope scope(fc);
-    TrainOptions opts = baseOptions(f);
-    opts.supervisor.retry.baseDelayMs = 0.0;
-    TgnnModel model = freshModel(f);
-    CascadeBatcher batcher = freshCascadeEx(f);
-    TrainReport got = trainModel(model, f.src, f.adj, f.trainEnd,
-                                 batcher, opts);
-
-    EXPECT_FALSE(got.interrupted);
-    EXPECT_EQ(got.retries, 1u);
-    EXPECT_EQ(got.degradations, 0u);
-    EXPECT_EQ(got.degradedMode, "none");
-    EXPECT_EQ(got.valLoss, want.valLoss);
-    EXPECT_EQ(got.totalBatches, want.totalBatches);
-    ASSERT_EQ(got.epochs.size(), want.epochs.size());
-    for (size_t e = 0; e < want.epochs.size(); ++e) {
-        EXPECT_EQ(got.epochs[e].trainLoss, want.epochs[e].trainLoss);
-        EXPECT_EQ(got.epochs[e].batches, want.epochs[e].batches);
-    }
-}
-
-TEST(FaultTolerance, PersistentChunkFailuresWalkTheLadderToStatic)
-{
-    Fixture f;
-
-    auto run = [&f]() {
-        fault::Config fc;
-        fc.chunkBuildFailures = 1000000; // every build fails, forever
-        FaultScope scope(fc);
-        TrainOptions opts = baseOptions(f);
-        opts.supervisor.retry.maxRetries = 1;
-        opts.supervisor.retry.baseDelayMs = 0.0;
-        TgnnModel model = freshModel(f);
-        CascadeBatcher batcher = freshCascadeEx(f);
-        return trainModel(model, f.src, f.adj, f.trainEnd, batcher,
-                          opts);
-    };
-
-    const TrainReport r = run();
-    // The epoch completed despite every chunk build failing: the
-    // ladder stepped pipelined -> synchronous -> static.
-    EXPECT_FALSE(r.interrupted);
-    EXPECT_EQ(r.degradedMode, "static");
-    EXPECT_EQ(r.degradations, 2u);
-    // maxRetries=1 and two exhausted budgets => exactly two retries.
-    EXPECT_EQ(r.retries, 2u);
-    EXPECT_GT(r.totalBatches, 0u);
-    for (const EpochStats &es : r.epochs)
-        EXPECT_TRUE(std::isfinite(es.trainLoss));
-
-    // Fixed seed + fixed fault plan => bit-identical trajectory and
-    // identical supervision counters on a second run.
-    const TrainReport r2 = run();
-    EXPECT_EQ(r2.retries, r.retries);
-    EXPECT_EQ(r2.degradations, r.degradations);
-    EXPECT_EQ(r2.degradedMode, r.degradedMode);
-    EXPECT_EQ(r2.totalBatches, r.totalBatches);
-    EXPECT_EQ(r2.valLoss, r.valLoss);
-    ASSERT_EQ(r2.epochs.size(), r.epochs.size());
-    for (size_t e = 0; e < r.epochs.size(); ++e)
-        EXPECT_EQ(r2.epochs[e].trainLoss, r.epochs[e].trainLoss);
-}
-
 TEST(FaultTolerance, CheckpointWriteRetrySucceedsAndIsCounted)
 {
     Fixture f(400.0);
@@ -499,7 +415,7 @@ TEST(FaultTolerance, CheckpointWriteRetrySucceedsAndIsCounted)
     TrainOptions opts = baseOptions(f, 1);
     opts.checkpointPath = path;
     opts.checkpointEvery = 2;
-    opts.supervisor.retry.baseDelayMs = 0.0;
+    opts.retry.baseDelayMs = 0.0;
     TgnnModel model = freshModel(f);
     FixedBatcher batcher(f.trainEnd, f.spec.baseBatch);
     TrainReport r = trainModel(model, f.src, f.adj, f.trainEnd,
@@ -526,8 +442,8 @@ TEST(FaultTolerance, PersistentWriteFailuresDisableCheckpointing)
     TrainOptions opts = baseOptions(f, 1);
     opts.checkpointPath = path;
     opts.checkpointEvery = 1;
-    opts.supervisor.retry.maxRetries = 2;
-    opts.supervisor.retry.baseDelayMs = 0.0;
+    opts.retry.maxRetries = 2;
+    opts.retry.baseDelayMs = 0.0;
     TgnnModel model = freshModel(f);
     FixedBatcher batcher(f.trainEnd, f.spec.baseBatch);
     TrainReport r = trainModel(model, f.src, f.adj, f.trainEnd,

@@ -19,6 +19,7 @@
 #include "obs/trace.hh"
 #include "train/batcher.hh"
 #include "train/session.hh"
+#include "util/fault.hh"
 
 using namespace cascade;
 
@@ -423,11 +424,22 @@ TEST(Trace, JsonExportIsWellFormedTraceEventFormat)
 TEST(TrainingSession, StageSecondsReconcileWithWallSeconds)
 {
     // Once without checkpoints, once with cadence writes running on
-    // the background writer beside the training thread: the stages
-    // time the training thread only, so either way they must add up
-    // to the epoch walls.
+    // the background writer beside the training thread, each write
+    // window widened by an injected latency: the stages time the
+    // training thread only, so either way they must add up to the
+    // epoch walls.
+    constexpr double kLatencyMs = 3.0;
+    struct FaultScope
+    {
+        explicit FaultScope(const fault::Config &c) { fault::configure(c); }
+        ~FaultScope() { fault::reset(); }
+    };
     for (const bool with_writes : {false, true}) {
         SCOPED_TRACE(with_writes ? "checkpoint writes" : "no checkpoint");
+        fault::Config fc;
+        if (with_writes)
+            fc.checkpointLatencyMs = kLatencyMs;
+        FaultScope faults(fc);
         Fixture f;
         TgnnModel model(tgnConfig(16), f.spec.numNodes,
                         f.data.featDim(), 1);
@@ -466,7 +478,8 @@ TEST(TrainingSession, StageSecondsReconcileWithWallSeconds)
         EXPECT_NEAR(stage_sum, r.wallSeconds,
                     0.05 * r.wallSeconds + 2e-3);
 
-        // Every cadence write was timed on the writer's own histogram.
+        // Every cadence write was timed on the writer's own histogram,
+        // injected latency included.
         const obs::Histogram *writes =
             session.metrics().findHistogram("checkpoint.write_seconds");
         if (with_writes) {
@@ -476,6 +489,9 @@ TEST(TrainingSession, StageSecondsReconcileWithWallSeconds)
                       session.metrics()
                           .counter("checkpoint.snapshots")
                           .value());
+            EXPECT_GE(writes->sum(),
+                      static_cast<double>(writes->count()) * kLatencyMs *
+                          1e-3);
         } else {
             EXPECT_EQ(writes, nullptr);
         }

@@ -1,8 +1,8 @@
 /**
  * @file
- * Supervisor tests: deterministic retry/backoff schedules, supervised
- * stage execution with retry accounting, watchdog deadline misses via
- * injected stage latency, and strict CASCADE_FAULT_* env parsing.
+ * Supervisor tests: the constant retry/backoff schedule, supervised
+ * execution with retry accounting, and strict CASCADE_FAULT_* env
+ * parsing.
  */
 
 #include <gtest/gtest.h>
@@ -19,13 +19,6 @@
 using namespace cascade;
 
 namespace {
-
-/** RAII: disarm fault injection no matter how the test exits. */
-struct FaultScope
-{
-    explicit FaultScope(const fault::Config &c) { fault::configure(c); }
-    ~FaultScope() { fault::reset(); }
-};
 
 /** RAII: set an env var for one test, restoring emptiness after. */
 struct EnvVar
@@ -46,65 +39,24 @@ counterValue(obs::MetricsRegistry &reg, const std::string &name)
 
 } // namespace
 
-TEST(RetryPolicy, IdenticalSeedsYieldIdenticalSchedules)
-{
-    RetryOptions o;
-    o.baseDelayMs = 5.0;
-    o.jitterFrac = 0.25;
-    RetryPolicy a(o), b(o);
-    for (size_t k = 0; k < 8; ++k)
-        EXPECT_DOUBLE_EQ(a.delayMs(k), b.delayMs(k));
-}
-
-TEST(RetryPolicy, DifferentSeedsJitterDifferently)
-{
-    RetryOptions oa, ob;
-    oa.jitterFrac = ob.jitterFrac = 0.5;
-    oa.seed = 1;
-    ob.seed = 2;
-    RetryPolicy a(oa), b(ob);
-    int same = 0;
-    for (size_t k = 0; k < 16; ++k)
-        same += a.delayMs(k) == b.delayMs(k);
-    EXPECT_LT(same, 4);
-}
-
 TEST(RetryPolicy, ExponentialGrowthWithCeiling)
 {
     RetryOptions o;
     o.baseDelayMs = 10.0;
-    o.multiplier = 2.0;
-    o.maxDelayMs = 50.0;
-    o.jitterFrac = 0.0; // pure schedule
-    RetryPolicy p(o);
-    EXPECT_DOUBLE_EQ(p.delayMs(0), 10.0);
-    EXPECT_DOUBLE_EQ(p.delayMs(1), 20.0);
-    EXPECT_DOUBLE_EQ(p.delayMs(2), 40.0);
-    EXPECT_DOUBLE_EQ(p.delayMs(3), 50.0); // capped
-    EXPECT_DOUBLE_EQ(p.delayMs(9), 50.0); // stays capped
-}
-
-TEST(RetryPolicy, JitterStaysWithinTheConfiguredFraction)
-{
-    RetryOptions o;
-    o.baseDelayMs = 100.0;
-    o.multiplier = 1.0; // flat base so the bound is easy to state
-    o.maxDelayMs = 100.0;
-    o.jitterFrac = 0.3;
-    RetryPolicy p(o);
-    for (size_t k = 0; k < 64; ++k) {
-        const double d = p.delayMs(k);
-        EXPECT_GE(d, 100.0);
-        EXPECT_LT(d, 130.0);
-    }
+    const RetryPolicy p(o);
+    double want = 10.0;
+    for (size_t k = 0; k < 8; ++k, want *= 2.0)
+        EXPECT_DOUBLE_EQ(p.delayMs(k), want) << "k=" << k; // 10..1280
+    for (size_t k = 8; k < 16; ++k)
+        EXPECT_DOUBLE_EQ(p.delayMs(k), 2000.0) << "k=" << k; // capped
 }
 
 TEST(Supervisor, RetriesUntilTheOperationSucceeds)
 {
     obs::MetricsRegistry reg;
-    SupervisorOptions so;
-    so.retry.maxRetries = 5;
-    Supervisor sup(so, reg);
+    RetryOptions ro;
+    ro.maxRetries = 5;
+    Supervisor sup(ro, reg);
     sup.setSleeper([](double) {}); // decisions only, no real waits
 
     int calls = 0;
@@ -124,20 +76,25 @@ TEST(Supervisor, RetriesUntilTheOperationSucceeds)
 TEST(Supervisor, ExhaustedBudgetReturnsFalseWithTheLastError)
 {
     obs::MetricsRegistry reg;
-    SupervisorOptions so;
-    so.retry.maxRetries = 2;
-    Supervisor sup(so, reg);
+    RetryOptions ro;
+    ro.maxRetries = 2;
+    Supervisor sup(ro, reg);
     sup.setSleeper([](double) {});
 
     int calls = 0;
+    ::testing::internal::CaptureStderr();
     const bool ok = sup.runSupervised("doomed", [&] {
         ++calls;
         throw std::runtime_error("kaboom");
         return true;
     });
+    const std::string log = ::testing::internal::GetCapturedStderr();
     EXPECT_FALSE(ok);
     EXPECT_EQ(calls, 3); // first attempt + 2 retries
-    EXPECT_EQ(sup.lastError(), "kaboom");
+    // The give-up line names the stage, the attempts and the error.
+    EXPECT_NE(log.find("stage doomed failed after 3 attempt(s): kaboom"),
+              std::string::npos)
+        << log;
     EXPECT_DOUBLE_EQ(counterValue(reg, "doomed.failures"), 3.0);
     EXPECT_DOUBLE_EQ(counterValue(reg, "supervisor.retries"), 2.0);
 }
@@ -145,63 +102,25 @@ TEST(Supervisor, ExhaustedBudgetReturnsFalseWithTheLastError)
 TEST(Supervisor, FalseReturnCountsLikeAnException)
 {
     obs::MetricsRegistry reg;
-    SupervisorOptions so;
-    so.retry.maxRetries = 0; // fail fast
-    Supervisor sup(so, reg);
+    RetryOptions ro;
+    ro.maxRetries = 0; // fail fast
+    Supervisor sup(ro, reg);
     sup.setSleeper([](double) {});
 
+    ::testing::internal::CaptureStderr();
     EXPECT_FALSE(sup.runSupervised("w", [] { return false; }));
-    EXPECT_EQ(sup.lastError(), "operation reported failure");
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("operation reported failure"), std::string::npos)
+        << log;
     EXPECT_DOUBLE_EQ(counterValue(reg, "w.failures"), 1.0);
     EXPECT_DOUBLE_EQ(counterValue(reg, "supervisor.retries"), 0.0);
-}
-
-TEST(Supervisor, InjectedLatencyTripsTheWatchdogDeterministically)
-{
-    fault::Config fc;
-    fc.latencyStage = "slowstage";
-    fc.latencyMs = 30.0;
-    FaultScope scope(fc);
-
-    obs::MetricsRegistry reg;
-    SupervisorOptions so;
-    so.stageDeadlineMs = 5.0;
-    Supervisor sup(so, reg);
-    {
-        auto wd = sup.watch("slowstage");
-    }
-    {
-        auto wd = sup.watch("otherstage"); // fast: no miss
-    }
-    EXPECT_DOUBLE_EQ(counterValue(reg, "supervisor.deadline_misses"),
-                     1.0);
-    EXPECT_DOUBLE_EQ(counterValue(reg, "slowstage.deadline_misses"),
-                     1.0);
-}
-
-TEST(Supervisor, NoDeadlineMeansNoMisses)
-{
-    fault::Config fc;
-    fc.latencyStage = "anystage";
-    fc.latencyMs = 10.0;
-    FaultScope scope(fc);
-
-    obs::MetricsRegistry reg;
-    SupervisorOptions so; // stageDeadlineMs = 0 (disabled)
-    Supervisor sup(so, reg);
-    {
-        auto wd = sup.watch("anystage");
-    }
-    EXPECT_DOUBLE_EQ(counterValue(reg, "supervisor.deadline_misses"),
-                     0.0);
 }
 
 TEST(FaultEnv, ParsesKnownVariablesStrictly)
 {
     EnvVar a("CASCADE_FAULT_WRITE_FAIL_NTH", "3");
     EnvVar b("CASCADE_FAULT_WRITE_FAIL_COUNT", "2");
-    EnvVar c("CASCADE_FAULT_CHUNK_BUILD_FAIL", "4");
-    EnvVar d("CASCADE_FAULT_STAGE_LATENCY", "model=25.5");
+    EnvVar d("CASCADE_FAULT_STAGE_LATENCY", "checkpoint=25.5");
 
     fault::Config cfg;
     std::vector<std::string> unknown;
@@ -209,9 +128,7 @@ TEST(FaultEnv, ParsesKnownVariablesStrictly)
     ASSERT_TRUE(fault::parseEnvConfig(cfg, unknown, error)) << error;
     EXPECT_EQ(cfg.failWriteNth, 3);
     EXPECT_EQ(cfg.failWriteCount, 2);
-    EXPECT_EQ(cfg.chunkBuildFailures, 4);
-    EXPECT_EQ(cfg.latencyStage, "model");
-    EXPECT_DOUBLE_EQ(cfg.latencyMs, 25.5);
+    EXPECT_DOUBLE_EQ(cfg.checkpointLatencyMs, 25.5);
     EXPECT_TRUE(unknown.empty());
 }
 
@@ -251,6 +168,16 @@ TEST(FaultEnv, RejectsMalformedStageLatency)
         std::string error;
         EXPECT_FALSE(fault::parseEnvConfig(cfg, unknown, error));
     }
+    {
+        // Only the checkpoint write window takes injected latency.
+        EnvVar a("CASCADE_FAULT_STAGE_LATENCY", "model=5");
+        fault::Config cfg;
+        std::vector<std::string> unknown;
+        std::string error;
+        EXPECT_FALSE(fault::parseEnvConfig(cfg, unknown, error));
+        EXPECT_NE(error.find("'checkpoint'"), std::string::npos);
+        EXPECT_NE(error.find("model=5"), std::string::npos);
+    }
 }
 
 TEST(FaultEnv, RejectsNonPositiveWriteFailCount)
@@ -265,13 +192,18 @@ TEST(FaultEnv, RejectsNonPositiveWriteFailCount)
 
 TEST(FaultEnv, ReportsUnknownFaultVariables)
 {
-    EnvVar a("CASCADE_FAULT_NAN_BACH", "1"); // the classic typo
-    fault::Config cfg;
-    std::vector<std::string> unknown;
-    std::string error;
-    ASSERT_TRUE(fault::parseEnvConfig(cfg, unknown, error)) << error;
-    ASSERT_EQ(unknown.size(), 1u);
-    EXPECT_EQ(unknown[0], "CASCADE_FAULT_NAN_BACH");
-    // The typo'd plan armed nothing.
-    EXPECT_EQ(cfg.nanBatch, -1);
+    for (const char *name :
+         {"CASCADE_FAULT_NAN_BACH", // the classic typo
+          "CASCADE_FAULT_CHUNK_BUILD_FAIL"}) { // a retired knob
+        SCOPED_TRACE(name);
+        EnvVar a(name, "1");
+        fault::Config cfg;
+        std::vector<std::string> unknown;
+        std::string error;
+        ASSERT_TRUE(fault::parseEnvConfig(cfg, unknown, error)) << error;
+        ASSERT_EQ(unknown.size(), 1u);
+        EXPECT_EQ(unknown[0], name);
+        // The unknown variable armed nothing.
+        EXPECT_EQ(cfg.nanBatch, -1);
+    }
 }

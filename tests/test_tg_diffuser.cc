@@ -1,16 +1,20 @@
 /**
  * @file
- * TG-Diffuser tests (Algorithm 3): progress/partition guarantees, the
- * Max_r endurance invariant, stable-node bypass, the Figure 7(b)/8(b)
- * worked examples, chunk capping and epoch reset.
+ * TG-Diffuser tests (Algorithm 3): batch-by-batch agreement with a
+ * definition-level oracle over the brute-force table, progress/
+ * partition guarantees, the Max_r endurance invariant, stable-node
+ * bypass, the Figure 7(b)/8(b) worked examples, chunk capping and
+ * epoch reset.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "core/dependency_table.hh"
 #include "core/tg_diffuser.hh"
+#include "dependency_oracle.hh"
 #include "graph/dataset.hh"
 
 using namespace cascade;
@@ -48,7 +52,101 @@ relevantInBatch(const DependencyTable &table, NodeId n, size_t st,
     return static_cast<size_t>(hi - lo);
 }
 
+/**
+ * Algorithm 3 from its definition, for the batch starting at `st` in
+ * the chunk [lo, hi) whose brute-force table is `table`: e is the
+ * smallest (Max_r+1)-th relevant event at or after st over the
+ * non-stable nodes; the end is min(hi, e+1), or hi without such an e,
+ * then raised to at least st+1 and capped at st+cap (cap 0 = none).
+ */
+size_t
+oracleEnd(const std::vector<std::set<EventIdx>> &table, size_t st,
+          size_t hi, size_t maxr, size_t cap,
+          const std::vector<uint8_t> &stable)
+{
+    size_t ed = hi;
+    for (size_t n = 0; n < table.size(); ++n) {
+        if (stable[n])
+            continue;
+        const auto &events = table[n];
+        auto it = events.lower_bound(static_cast<EventIdx>(st));
+        if (static_cast<size_t>(std::distance(it, events.end())) <= maxr)
+            continue;
+        std::advance(it, maxr);
+        ed = std::min(ed, static_cast<size_t>(*it) + 1);
+    }
+    ed = std::max(ed, st + 1);
+    if (cap > 0)
+        ed = std::min(ed, st + cap);
+    return ed;
+}
+
 } // namespace
+
+TEST(TgDiffuser, LastTolerableEndMatchesDefinitionOracle)
+{
+    struct Graph
+    {
+        DatasetSpec spec;
+        uint64_t seed;
+    };
+    const Graph graphs[] = {{wikiSpec(300.0), 1},
+                            {redditSpec(800.0), 2},
+                            {moocSpec(600.0), 3}};
+    for (const Graph &g : graphs) {
+        Rng gen(g.seed);
+        const EventSequence seq = generateDataset(g.spec, gen);
+        const TemporalAdjacency adj(seq);
+        const size_t train_end = seq.size() * 4 / 5;
+        for (size_t chunk_size : {size_t(0), train_end / 5}) {
+            // Brute-force tables of the chunks the diffuser will use.
+            const size_t span = chunk_size == 0 ? train_end : chunk_size;
+            std::vector<std::pair<size_t, size_t>> bounds;
+            std::vector<std::vector<std::set<EventIdx>>> tables;
+            for (size_t lo = 0; lo < train_end; lo += span) {
+                bounds.emplace_back(lo, std::min(train_end, lo + span));
+                tables.push_back(
+                    bruteForceTable(seq, lo, bounds.back().second));
+            }
+            for (size_t maxr : {1, 2, 4, 8}) {
+                for (bool pipeline : {false, true}) {
+                    for (size_t cap : {size_t(0), size_t(7)}) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << g.spec.name << " chunk="
+                                     << chunk_size << " maxr=" << maxr
+                                     << " pipeline=" << pipeline
+                                     << " cap=" << cap);
+                        TgDiffuser::Options opts;
+                        opts.chunkSize = chunk_size;
+                        opts.pipeline = pipeline;
+                        opts.maxBatchCap = cap;
+                        TgDiffuser diffuser(seq, adj, train_end, opts);
+                        diffuser.setMaxRevisit(maxr);
+                        ASSERT_EQ(diffuser.numChunks(), bounds.size());
+
+                        Rng draw(g.seed * 131 + maxr);
+                        std::vector<uint8_t> stable(seq.numNodes, 0);
+                        size_t st = 0, c = 0;
+                        while (st < train_end) {
+                            // A fresh stable mask for every batch.
+                            for (uint8_t &flag : stable)
+                                flag = draw.bernoulli(0.25) ? 1 : 0;
+                            while (st >= bounds[c].second)
+                                ++c;
+                            const size_t want =
+                                oracleEnd(tables[c], st, bounds[c].second,
+                                          maxr, cap, stable);
+                            const size_t ed =
+                                diffuser.lastTolerableEnd(st, stable);
+                            ASSERT_EQ(ed, want) << "batch at " << st;
+                            st = ed;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
 
 TEST(TgDiffuser, Figure7WorkedExample)
 {

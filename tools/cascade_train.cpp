@@ -36,14 +36,11 @@
  * loadable by chrome://tracing or Perfetto. --threads sizes the global
  * worker pool (the paper's CPU-thread knob for TG-Diffuser and ABS).
  *
- * Supervision: failing stages (chunk-table builds, checkpoint writes)
- * retry up to --retry-max times with deterministic exponential
- * backoff starting at --retry-base-ms, then degrade gracefully
- * (pipelined chunk builds → synchronous → static batching;
- * checkpointing disabled) rather than aborting — the summary line
- * reports retries, deadline misses and the final degraded mode.
- * --stage-deadline-ms arms a watchdog that counts stages overrunning
- * the deadline (0 = off).
+ * Supervision: a failing checkpoint write retries up to --retry-max
+ * times with exponential backoff starting at --retry-base-ms (doubling,
+ * capped at 2 s), then checkpointing is disabled and training goes on
+ * — the summary line reports the checkpoint retries, the final worker
+ * mode and whether checkpointing is still on.
  */
 
 #include <sys/resource.h>
@@ -93,7 +90,6 @@ struct CliOptions
     size_t threads = 0; ///< 0 = leave the pool at its default size
     size_t retryMax = 3;
     double retryBaseMs = 10.0;
-    double stageDeadlineMs = 0.0; ///< 0 = watchdog off
     size_t workers = 1;           ///< worker shards (1 = unsharded)
     bool workerProcs = false;     ///< fork() the workers
     size_t shards = 0;            ///< logical shard count K (0 = workers)
@@ -146,11 +142,9 @@ declareFlags(cli::FlagSet &flags, CliOptions &o)
     flags.flagInt("--threads", &o.threads, "N",
                   "global worker-pool size (0 = default)");
     flags.flagInt("--retry-max", &o.retryMax, "N",
-                  "supervised-stage retry budget");
+                  "checkpoint-write retry budget");
     flags.flagDouble("--retry-base-ms", &o.retryBaseMs, "MS",
-                     "base retry backoff delay");
-    flags.flagDouble("--stage-deadline-ms", &o.stageDeadlineMs, "MS",
-                     "stage watchdog deadline (0 = off)");
+                     "first checkpoint-write retry backoff");
     flags.flagInt("--workers", &o.workers, "N",
                   "worker shards (1 = unsharded)");
     flags.flagBool("--worker-procs", &o.workerProcs,
@@ -316,10 +310,8 @@ main(int argc, char **argv)
     toptions.checkpointKeep = std::max<size_t>(1, opts.checkpointKeep);
     toptions.resume = opts.resume;
     toptions.resumeIfPossible = opts.resumeAuto;
-    toptions.supervisor.retry.maxRetries = opts.retryMax;
-    toptions.supervisor.retry.baseDelayMs = opts.retryBaseMs;
-    toptions.supervisor.retry.seed = opts.seed + 3;
-    toptions.supervisor.stageDeadlineMs = opts.stageDeadlineMs;
+    toptions.retry.maxRetries = opts.retryMax;
+    toptions.retry.baseDelayMs = opts.retryBaseMs;
     toptions.workers = opts.workers;
     toptions.workerProcs = opts.workerProcs;
     toptions.shards = opts.shards;
@@ -362,7 +354,7 @@ main(int argc, char **argv)
                 "epochs=%zu batches=%zu avg_batch=%.1f "
                 "wall_s=%.3f device_s=%.4f prep_s=%.4f "
                 "util=%.3f val_loss=%.4f guard_trips=%zu "
-                "retries=%zu deadline_misses=%zu degraded=%s "
+                "retries=%zu degraded=%s "
                 "checkpointing=%s workers=%zu worker_procs=%d shards=%zu "
                 "worker_deaths=%zu worker_rebalances=%zu "
                 "out_of_core=%d rss_peak_mb=%.1f\n",
@@ -371,7 +363,7 @@ main(int argc, char **argv)
                 r.totalBatches, r.avgBatchSize, r.wallSeconds,
                 r.deviceSeconds, r.preprocessSeconds,
                 r.deviceUtilization, r.valLoss, r.guardTrips,
-                r.retries, r.deadlineMisses, r.degradedMode.c_str(),
+                r.checkpointRetries, r.degradedMode.c_str(),
                 r.checkpointingDisabled ? "disabled" : "on", r.workers,
                 r.workerProcs ? 1 : 0, r.shards, r.workerDeaths,
                 r.workerRebalances, src->resident() ? 0 : 1,

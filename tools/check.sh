@@ -116,8 +116,9 @@ run_preset default "$FILTER"
 run_preset sanitize "$FILTER"
 run_preset tsan "$FILTER"
 
-# Fault matrices: ASan tree (legacy lane) + TSan tree (races inside
-# the degradation ladder's threaded rungs).
+# Fault matrices: ASan tree (legacy lane) + TSan tree (races between
+# the training thread, the background checkpoint writer and the
+# forked workers' supervision).
 sh tools/fault_matrix.sh build-sanitize
 TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
     sh tools/fault_matrix.sh build-tsan

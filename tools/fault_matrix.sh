@@ -1,7 +1,8 @@
 #!/bin/sh
 # Fault-matrix driver: run the training CLI under representative
-# CASCADE_FAULT_* configurations and assert the supervised-execution
-# contract end to end (exit codes, degradation markers, resume).
+# CASCADE_FAULT_* configurations and assert the fault-tolerance
+# contract end to end (exit codes, checkpoint-write retries and
+# degradation markers, resume, worker deaths).
 #
 # This deliberately drives the binary rather than running ctest under
 # an armed environment: env-configured faults are process-global, so
@@ -57,26 +58,14 @@ run_case() {
 
 COMMON="--dataset wiki --scale 400 --epochs 1 --seed 42"
 
-# 1. Every pipelined chunk build fails: the ladder must walk
-#    pipelined -> synchronous -> static and still finish the epoch.
-run_case chunk-build-ladder 0 "degraded=static" chunk.log -- \
-    CASCADE_FAULT_CHUNK_BUILD_FAIL=1000000 -- \
-    $COMMON --policy cascade-ex --retry-max 1 --retry-base-ms 0
-
-# 2. One transient chunk-build failure: absorbed by a retry, no
-#    degradation.
-run_case chunk-build-retry 0 "degraded=none" chunk_retry.log -- \
-    CASCADE_FAULT_CHUNK_BUILD_FAIL=1 -- \
-    $COMMON --policy cascade-ex --retry-base-ms 0
-
-# 3. The disk never recovers: checkpoint writes retry, then the run
+# 1. The disk never recovers: checkpoint writes retry, then the run
 #    degrades to "checkpointing disabled" and still completes.
 run_case write-burst 0 "checkpointing=disabled" write.log -- \
     CASCADE_FAULT_WRITE_FAIL_NTH=1 CASCADE_FAULT_WRITE_FAIL_COUNT=1000000 -- \
     $COMMON --policy cascade --checkpoint "$WORK/ck_burst.bin" \
     --checkpoint-every 1 --retry-max 2 --retry-base-ms 0
 
-# 4. Crash mid-run (exit 3), then resume to completion (exit 0).
+# 2. Crash mid-run (exit 3), then resume to completion (exit 0).
 run_case crash 3 "rerun with --resume" crash.log -- \
     CASCADE_FAULT_CRASH_BATCH=3 -- \
     $COMMON --policy cascade --checkpoint "$WORK/ck_crash.bin" \
@@ -85,28 +74,22 @@ run_case crash-resume 0 "degraded=none" resume.log -- -- \
     $COMMON --policy cascade --checkpoint "$WORK/ck_crash.bin" \
     --checkpoint-every 1 --resume
 
-# 5. Injected NaN loss: guard trips, rollback recovers, run completes.
+# 3. Injected NaN loss: guard trips, rollback recovers, run completes.
 run_case nan-rollback 0 "guard_trips=1" nan.log -- \
     CASCADE_FAULT_NAN_BATCH=2 -- \
     $COMMON --policy cascade --checkpoint-every 2
 
-# 6. Injected stage latency vs. an armed deadline: misses are counted,
-#    never fatal.
-run_case deadline-miss 0 "deadline_misses=[1-9]" deadline.log -- \
-    "CASCADE_FAULT_STAGE_LATENCY=model=50" -- \
-    $COMMON --policy tgl --stage-deadline-ms 5
-
-# 7. Garbage fault value: strict parsing refuses to run.
+# 4. Garbage fault value: strict parsing refuses to run.
 run_case garbage-env 1 "invalid integer" garbage.log -- \
     CASCADE_FAULT_NAN_BATCH=banana -- \
     $COMMON --policy tgl
 
-# 8. Typo'd fault variable: warned about, run unaffected.
+# 5. Typo'd fault variable: warned about, run unaffected.
 run_case unknown-var 0 "unrecognized fault variable" typo.log -- \
     CASCADE_FAULT_NAN_BACH=1 -- \
     $COMMON --policy tgl
 
-# 9. Torn write: the only checkpoint save (the final one — the huge
+# 6. Torn write: the only checkpoint save (the final one — the huge
 #    cadence suppresses mid-run saves) is cut in half but REPORTS
 #    SUCCESS, exactly like a real torn write under power loss. The
 #    run finishes happy; only the resume's CRC check can tell, and
@@ -119,22 +102,22 @@ run_case torn-write-resume 1 "missing or corrupt" torn_resume.log -- -- \
     $COMMON --policy cascade --checkpoint "$WORK/ck_torn.bin" \
     --checkpoint-every 100000 --checkpoint-keep 1 --resume
 
-# 10. One ENOSPC on a checkpoint write: fails visibly, absorbed by a
-#     supervisor retry, no degradation.
+# 7. One ENOSPC on a checkpoint write: fails visibly, absorbed by a
+#    checkpoint-write retry, no degradation.
 run_case enospc-retry 0 "retries=1" enospc.log -- \
     CASCADE_FAULT_ENOSPC_NTH=1 -- \
     $COMMON --policy cascade --checkpoint "$WORK/ck_enospc.bin" \
     --checkpoint-every 1 --retry-base-ms 0
 
-# 11. One short write (64 of N bytes reach the disk): the checked
-#     write path surfaces it as a failure; one retry recovers.
+# 8. One short write (64 of N bytes reach the disk): the checked
+#    write path surfaces it as a failure; one retry recovers.
 run_case short-write-retry 0 "retries=1" short.log -- \
     CASCADE_FAULT_SHORT_WRITE_BYTES=64 -- \
     $COMMON --policy cascade --checkpoint "$WORK/ck_short.bin" \
     --checkpoint-every 1 --retry-base-ms 0
 
-# 12. Newest generation torn after the fact: resume skips it and
-#     restores the previous generation instead of dying.
+# 9. Newest generation torn after the fact: resume skips it and
+#    restores the previous generation instead of dying.
 run_case older-gen-setup 0 "checkpointing=on" older_setup.log -- -- \
     $COMMON --policy cascade --checkpoint "$WORK/ck_older.bin" \
     --checkpoint-every 1 --checkpoint-keep 3
@@ -149,7 +132,7 @@ run_case older-gen-resume 0 "generation 1" older_resume.log -- -- \
     $COMMON --policy cascade --checkpoint "$WORK/ck_older.bin" \
     --checkpoint-every 1 --checkpoint-keep 3 --resume
 
-# 13. Worker SIGKILLs itself mid-epoch (the cooperative knob — the
+# 10. Worker SIGKILLs itself mid-epoch (the cooperative knob — the
 #     uncooperative by-PID variant lives in chaos_soak.sh section 5):
 #     the supervisor sees the socket close, folds the dead worker's
 #     shards into the survivor, and the run completes with the death
@@ -158,7 +141,7 @@ run_case worker-kill-recovers 0 "worker_deaths=1" worker_kill.log -- \
     CASCADE_FAULT_WORKER_KILL_NTH=4@1 -- \
     $COMMON --policy cascade --workers 2 --worker-procs --shards 4
 
-# 14. Worker hangs instead of dying: no EOF ever arrives, so only the
+# 11. Worker hangs instead of dying: no EOF ever arrives, so only the
 #     heartbeat watchdog can notice. The stall (2s) dwarfs the
 #     deadline (200ms); the supervisor must declare the worker dead,
 #     SIGKILL it, and finish without it.
