@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <set>
 
 #include "obs/metrics.hh"
 #include "util/binio.hh"
-#include "util/determinism.hh"
 #include "util/logging.hh"
 
 namespace cascade {
@@ -25,22 +24,16 @@ AdaptiveBatchSensor::profile(const EventSource &src,
     EnduranceStats stats;
     stats.batchCount = (n + opts_.baseBatch - 1) / opts_.baseBatch;
 
-    // Sample batch indices without replacement (or all, if few).
-    std::vector<size_t> batches;
+    // Sample batch indices without replacement (or all, if few). A
+    // std::set hands them back in ascending order, so the float fold
+    // below sees the same order on every platform.
+    std::set<size_t> batches;
     if (stats.batchCount <= opts_.sampleBatches) {
-        batches.resize(stats.batchCount);
-        for (size_t i = 0; i < batches.size(); ++i)
-            batches[i] = i;
+        for (size_t i = 0; i < stats.batchCount; ++i)
+            batches.insert(i);
     } else {
-        std::unordered_set<size_t> chosen;
-        while (chosen.size() < opts_.sampleBatches)
-            chosen.insert(rng_.uniformInt(stats.batchCount));
-        // Hash-set order must not leak into the float accumulation
-        // below (a += fold is order-sensitive): profile the sampled
-        // batches in ascending index order.
-        CASCADE_NONDET_OK("contents are sorted before any float fold")
-        batches.assign(chosen.begin(), chosen.end());
-        std::sort(batches.begin(), batches.end());
+        while (batches.size() < opts_.sampleBatches)
+            batches.insert(rng_.uniformInt(stats.batchCount));
     }
 
     double sum = 0.0;
@@ -51,24 +44,22 @@ AdaptiveBatchSensor::profile(const EventSource &src,
         const EventIdx ist = static_cast<EventIdx>(st);
         const EventIdx ied = static_cast<EventIdx>(ed);
 
-        // Count relevant events per involved node via its
-        // dependency-table entry restricted to the batch window.
-        std::unordered_set<NodeId> touched;
-        for (size_t i = st; i < ed; ++i) {
-            const Event ev = src.event(static_cast<EventIdx>(i));
-            touched.insert(ev.src);
-            touched.insert(ev.dst);
-        }
-        size_t max_endurance = 0;
-        CASCADE_NONDET_OK("max over size_t is commutative")
-        for (NodeId node : touched) {
+        // Max over every event endpoint of its dependency-table
+        // entries inside the batch window; a repeated node changes
+        // nothing.
+        auto endurance = [&](NodeId node) {
             const auto &entry = table.entry(node);
             const auto lo =
                 std::lower_bound(entry.begin(), entry.end(), ist);
             const auto hi =
                 std::lower_bound(entry.begin(), entry.end(), ied);
+            return static_cast<size_t>(hi - lo);
+        };
+        size_t max_endurance = 0;
+        for (size_t i = st; i < ed; ++i) {
+            const Event ev = src.event(static_cast<EventIdx>(i));
             max_endurance = std::max(
-                max_endurance, static_cast<size_t>(hi - lo));
+                {max_endurance, endurance(ev.src), endurance(ev.dst)});
         }
         sum += static_cast<double>(max_endurance);
         mn = std::min(mn, static_cast<double>(max_endurance));
@@ -77,7 +68,7 @@ AdaptiveBatchSensor::profile(const EventSource &src,
     if (batches.empty()) {
         mn = mx = 1.0;
         sum = 1.0;
-        batches.push_back(0);
+        batches.insert(0);
     }
     stats.mrMean = sum / batches.size();
     stats.mrMin = std::max(1.0, mn);

@@ -204,6 +204,8 @@ ServeSocketServer::handleRequest(int fd, const std::string &req,
     ByteReader r(req);
     uint8_t op = 0;
     ByteWriter resp;
+    // Node ids index the model's dense per-node state.
+    const uint64_t num_nodes = engine_.model().numNodes();
     if (!r.u8(op)) {
         resp.u8(kBadRequest);
         (void)writeFrameFd(fd, resp.buffer());
@@ -220,7 +222,7 @@ ServeSocketServer::handleRequest(int fd, const std::string &req,
             nodes.reserve(n);
             for (uint64_t i = 0; ok && i < n; ++i) {
                 uint64_t id = 0;
-                ok = r.u64(id);
+                ok = r.u64(id) && id < num_nodes;
                 nodes.push_back(static_cast<NodeId>(id));
             }
         }
@@ -249,7 +251,7 @@ ServeSocketServer::handleRequest(int fd, const std::string &req,
             dsts.reserve(n);
             for (uint64_t i = 0; ok && i < n; ++i) {
                 uint64_t s = 0, d = 0;
-                ok = r.u64(s) && r.u64(d);
+                ok = r.u64(s) && r.u64(d) && s < num_nodes && d < num_nodes;
                 srcs.push_back(static_cast<NodeId>(s));
                 dsts.push_back(static_cast<NodeId>(d));
             }

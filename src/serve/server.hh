@@ -22,6 +22,10 @@
  *     stats ok: u64 version, u64 applied, u64 pending, f64 lastTs
  *     shutdown ok: empty
  *
+ * A malformed body, or an embed/score request naming a node id >=
+ * the model's numNodes(), gets status 1 and the connection stays
+ * open.
+ *
  * Each reader thread owns a private ServeReader (replica + synced
  * snapshot), so concurrent connections never contend on model state;
  * one connection's requests are answered in order against snapshots

@@ -14,7 +14,7 @@
 #ifndef CASCADE_TGNN_MAILBOX_HH
 #define CASCADE_TGNN_MAILBOX_HH
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "graph/event.hh"
@@ -26,7 +26,12 @@ class ByteWriter;
 class ByteReader;
 
 /**
- * Ring buffer of the most recent messages per node.
+ * Ring buffer of the most recent messages per node, stored densely
+ * like MemoryStore: payloads as [node x slot x msgDim] floats, their
+ * timestamps as [node x slot] doubles, and one push count per node.
+ * A node's next write slot is `count % slots` and it holds
+ * `min(count, slots)` valid messages, so the state is a pure function
+ * of the pushes since the last reset.
  *
  * Concurrency contract (checked by TSan, not lockable): like
  * MemoryStore, a Mailbox carries no mutex — push/consume run in batch
@@ -39,11 +44,12 @@ class Mailbox
 {
   public:
     /**
-     * @param slots   messages retained per node (1 for JODIE/TGN,
-     *                10 for APAN per Table 1)
-     * @param msg_dim payload width
+     * @param num_nodes node universe (0 for models that never push)
+     * @param slots     messages retained per node (1 for JODIE/TGN,
+     *                  10 for APAN per Table 1)
+     * @param msg_dim   payload width
      */
-    Mailbox(size_t slots, size_t msg_dim);
+    Mailbox(size_t num_nodes, size_t slots, size_t msg_dim);
 
     size_t slots() const { return slots_; }
     size_t msgDim() const { return msgDim_; }
@@ -52,7 +58,11 @@ class Mailbox
     void push(NodeId node, const float *payload, double ts);
 
     /** True if the node has at least one pending message. */
-    bool hasMessages(NodeId node) const;
+    bool
+    hasMessages(NodeId node) const
+    {
+        return count_[static_cast<size_t>(node)] > 0;
+    }
 
     /**
      * Gather the latest k<=slots messages for each node into a
@@ -71,13 +81,10 @@ class Mailbox
     /** Drop every message (epoch restart). */
     void reset();
 
-    /** Deep copy for validation snapshots. */
-    Mailbox clone() const { return *this; }
-
-    /** Approximate resident bytes (Figure 13c accounting). */
+    /** Resident bytes of the three arrays (Figure 13c accounting). */
     size_t bytes() const;
 
-    /** Serialize every node's ring buffer (checkpointing). */
+    /** Serialize the dimensions and the three arrays (checkpointing). */
     void saveState(ByteWriter &w) const;
 
     /**
@@ -88,21 +95,11 @@ class Mailbox
     bool loadState(ByteReader &r);
 
   private:
-    struct Slot
-    {
-        std::vector<float> payload;
-        double ts = 0.0;
-    };
-    struct NodeBox
-    {
-        std::vector<Slot> ring;
-        size_t next = 0;  ///< insertion cursor
-        size_t count = 0; ///< total pushes
-    };
-
     size_t slots_;
     size_t msgDim_;
-    std::unordered_map<NodeId, NodeBox> boxes_;
+    std::vector<float> payload_; ///< N x slots x msgDim
+    std::vector<double> ts_;     ///< N x slots
+    std::vector<uint64_t> count_; ///< pushes per node since reset
 };
 
 } // namespace cascade

@@ -75,9 +75,6 @@ class MemoryStore
      */
     void initRandom(Rng &rng, float stddev);
 
-    /** Deep copy for validation snapshots. */
-    MemoryStore clone() const { return *this; }
-
     /** Approximate resident bytes (Figure 13c accounting). */
     size_t bytes() const;
 

@@ -35,7 +35,9 @@ TgnnModel::TgnnModel(const ModelConfig &config, size_t num_nodes,
       msgDim_(config.memoryDim + edge_feat_dim),
       updInDim_(msgDim_ + config.timeDim), rng_(seed), seed_(seed),
       memory_(num_nodes, config.memoryDim),
-      mailbox_(config.mailboxSlots, msgDim_)
+      // TGAT's static memory never pushes, so its mailbox holds no node.
+      mailbox_(config.memory == MemoryKind::Identity ? 0 : num_nodes,
+               config.mailboxSlots, msgDim_)
 {
     Rng init(seed ^ 0xabcdef1234567890ULL);
     const size_t d = config_.memoryDim;

@@ -11,7 +11,7 @@ namespace cascade {
 namespace {
 
 constexpr uint32_t kMagic = 0x4353434b; // "CSCK"
-constexpr uint32_t kVersion = 2;
+constexpr uint32_t kVersion = 3;
 
 } // namespace
 

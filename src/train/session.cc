@@ -103,7 +103,6 @@ TrainingSession::TrainingSession(TgnnModel &model,
             model_, data_, adj_, wo, metrics_);
         workerGroup_->setOnDegrade([this](const std::string &mode) {
             recordDegradation(mode);
-            report_.degradedMode = mode;
         });
     }
 }
@@ -408,6 +407,10 @@ TrainingSession::writeCheckpoint(const std::string &payload,
 void
 TrainingSession::recordDegradation(const std::string &mode)
 {
+    {
+        LockGuard lock(degradeMutex_);
+        report_.degradedMode = mode;
+    }
     metrics_->counter("degrade.transitions").add(1);
     trace_->span("degrade-" + mode, "supervisor").end();
     CASCADE_LOG("degradation ladder: entered '%s' mode",

@@ -58,6 +58,7 @@
 #include "train/supervisor.hh"
 #include "train/trainer.hh"
 #include "util/queue.hh"
+#include "util/thread_annotations.hh"
 
 namespace cascade {
 
@@ -170,7 +171,10 @@ class TrainingSession
      */
     void writeCheckpoint(const std::string &payload, const char *what);
 
-    /** Count a degradation-ladder transition (metric + trace + log). */
+    /**
+     * Count a degradation-ladder transition (metric + trace + log) and
+     * make `mode` the report's degradedMode. Any thread.
+     */
     void recordDegradation(const std::string &mode);
 
     /** Close the epoch's accounting (EpochStats). */
@@ -207,6 +211,9 @@ class TrainingSession
      */
     std::string lastGood_;
     TrainReport report_;
+    AnnotatedMutex degradeMutex_; // guards report_.degradedMode: a
+                                  // cadence write and a worker death
+                                  // may record rungs concurrently
     std::function<void(const BatchRecord &)> observer_;
     bool ran_ = false;
     /** One-way degradation: checkpoint writes kept failing. */

@@ -63,7 +63,6 @@ Supervisor::runSupervised(const std::string &stage,
             return false;
         }
         const double delay = retry_.delayMs(attempt);
-        metrics_.counter("supervisor.retries").add(1);
         metrics_.counter(stage + ".retries").add(1);
         CASCADE_LOG("stage %s failed (%s); retry %zu/%zu in %.1f ms",
                     stage.c_str(), error.c_str(), attempt + 1,

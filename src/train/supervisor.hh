@@ -16,10 +16,9 @@
  *                    succeeded; the session decides what an exhausted
  *                    budget means (checkpointing disabled).
  *
- * Retries record into the session's MetricsRegistry
- * (`supervisor.retries` plus per-stage `<stage>.retries` /
- * `<stage>.failures`) and, when a TraceRecorder is attached, each
- * backoff wait emits a `<stage>-retry-wait` span.
+ * Retries record into the session's MetricsRegistry (per-stage
+ * `<stage>.retries` / `<stage>.failures`) and, when a TraceRecorder
+ * is attached, each backoff wait emits a `<stage>-retry-wait` span.
  *
  * The Supervisor holds no mutable state, so cadence writes may run it
  * on the background writer thread while the final write runs it on
@@ -93,8 +92,7 @@ class Supervisor
      * Run `op` under the retry policy. `op` reports failure by
      * returning false or throwing; both count into
      * `<stage>.failures`. After each failure short of the budget the
-     * supervisor backs off (`supervisor.retries`, `<stage>.retries`)
-     * and reruns. @return true once `op` succeeds; false (after
+     * supervisor backs off (`<stage>.retries`) and reruns. @return true once `op` succeeds; false (after
      * logging the last error) when the retry budget is exhausted.
      */
     bool runSupervised(const std::string &stage,

@@ -82,8 +82,9 @@ struct TrainReport
     /** Degradation-ladder rungs taken (checkpointing-disabled,
      *  checkpoint-fallback, worker-fold, worker-local). */
     size_t degradations = 0;
-    /** Worker mode the run ended in: "none" (healthy, full
-     *  capability), "worker-fold" or "worker-local" (train/shard.hh). */
+    /** Last degradation rung entered: "none" (healthy, full
+     *  capability), "checkpointing-disabled", "checkpoint-fallback",
+     *  "worker-fold" or "worker-local" (train/shard.hh). */
     std::string degradedMode = "none";
     /** Checkpoint writes gave up and checkpointing was turned off. */
     bool checkpointingDisabled = false;

@@ -1,13 +1,18 @@
 /**
  * @file
- * Adaptive Batch Sensor tests (§4.4): endurance profiling, the
- * initial 2·mean setting, clamping into [mr_min, mr_max], plateau-
- * triggered logarithmic decay and its cadence, epoch reset.
+ * Adaptive Batch Sensor tests (§4.4): endurance profiling against a
+ * brute-force oracle, the initial 2·mean setting, clamping into
+ * [mr_min, mr_max], plateau-triggered logarithmic decay and its
+ * cadence, epoch reset.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "core/abs.hh"
+#include "dependency_oracle.hh"
 #include "graph/dataset.hh"
 
 using namespace cascade;
@@ -36,7 +41,100 @@ stats(double mn, double mean, double mx, size_t batches)
     return s;
 }
 
+/**
+ * Max endurance of every base batch, from the definition (Figure 9):
+ * the most brute-force dependency-table entries any node involved in
+ * the batch has inside the batch window.
+ */
+std::vector<double>
+oracleEndurance(const EventSequence &seq, size_t base_batch)
+{
+    const auto table = bruteForceTable(seq, 0, seq.size());
+    std::vector<double> out;
+    for (size_t st = 0; st < seq.size(); st += base_batch) {
+        const size_t ed = std::min(seq.size(), st + base_batch);
+        std::set<NodeId> involved;
+        for (size_t i = st; i < ed; ++i) {
+            involved.insert(seq.events[i].src);
+            involved.insert(seq.events[i].dst);
+        }
+        size_t most = 0;
+        for (NodeId n : involved) {
+            const auto &entry = table[static_cast<size_t>(n)];
+            const auto first =
+                entry.lower_bound(static_cast<EventIdx>(st));
+            const auto last = entry.lower_bound(static_cast<EventIdx>(ed));
+            most = std::max(
+                most, static_cast<size_t>(std::distance(first, last)));
+        }
+        out.push_back(static_cast<double>(most));
+    }
+    return out;
+}
+
+struct ProfileFixture
+{
+    DatasetSpec spec = wikiSpec(200.0);
+    EventSequence seq;
+    DependencyTable table;
+    std::vector<double> oracle;
+
+    explicit ProfileFixture(uint64_t seed)
+        : seq([&] {
+              Rng rng(seed);
+              return generateDataset(spec, rng);
+          }()),
+          table([&] {
+              TemporalAdjacency adj(seq);
+              return DependencyTable::build(seq, adj, 0, seq.size());
+          }()),
+          oracle(oracleEndurance(seq, spec.baseBatch))
+    {}
+};
+
 } // namespace
+
+TEST(Abs, ProfileMatchesBruteForceOracle)
+{
+    for (uint64_t seed : {1u, 2u, 3u}) {
+        ProfileFixture f(seed);
+        AdaptiveBatchSensor::Options o = baseOptions(f.spec.baseBatch);
+        o.sampleBatches = f.oracle.size(); // profile every batch
+        AdaptiveBatchSensor abs(o);
+        const EnduranceStats s = abs.profile(f.seq, f.table);
+
+        double sum = 0.0;
+        for (double e : f.oracle)
+            sum += e;
+        const auto [mn, mx] =
+            std::minmax_element(f.oracle.begin(), f.oracle.end());
+        ASSERT_EQ(s.batchCount, f.oracle.size()) << "seed " << seed;
+        EXPECT_EQ(s.mrMean, sum / f.oracle.size()) << "seed " << seed;
+        EXPECT_EQ(s.mrMin, std::max(1.0, *mn)) << "seed " << seed;
+        EXPECT_EQ(s.mrMax, std::max(s.mrMin, *mx)) << "seed " << seed;
+    }
+}
+
+TEST(Abs, SampledProfileStaysWithinOracleRange)
+{
+    for (uint64_t seed : {1u, 2u, 3u}) {
+        ProfileFixture f(seed);
+        AdaptiveBatchSensor::Options o = baseOptions(f.spec.baseBatch);
+        o.sampleBatches = f.oracle.size() / 4;
+        ASSERT_GT(o.sampleBatches, 0u);
+        AdaptiveBatchSensor abs(o);
+        const EnduranceStats s = abs.profile(f.seq, f.table);
+
+        const auto [mn, mx] =
+            std::minmax_element(f.oracle.begin(), f.oracle.end());
+        const double lo = std::max(1.0, *mn);
+        const double hi = std::max(lo, *mx);
+        EXPECT_GE(s.mrMin, lo) << "seed " << seed;
+        EXPECT_LE(s.mrMax, hi) << "seed " << seed;
+        EXPECT_GE(s.mrMean, *mn) << "seed " << seed;
+        EXPECT_LE(s.mrMean, *mx) << "seed " << seed;
+    }
+}
 
 TEST(Abs, ProfileProducesConsistentStats)
 {

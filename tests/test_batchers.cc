@@ -151,8 +151,9 @@ TEST(Etc, BatchesRespectInformationLossBound)
                 ++loss;
         }
         // Single-event batches may exceed (progress guarantee).
-        if (ed - st > 1)
+        if (ed - st > 1) {
             ASSERT_LE(loss, b.threshold());
+        }
         st = ed;
     }
 }

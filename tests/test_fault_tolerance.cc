@@ -453,6 +453,7 @@ TEST(FaultTolerance, PersistentWriteFailuresDisableCheckpointing)
     EXPECT_FALSE(r.interrupted);
     EXPECT_TRUE(r.checkpointingDisabled);
     EXPECT_GE(r.degradations, 1u);
+    EXPECT_EQ(r.degradedMode, "checkpointing-disabled");
     // One supervised write: initial attempt + 2 retries, all failed.
     EXPECT_EQ(r.checkpointRetries, 2u);
     EXPECT_EQ(r.checkpointWriteFailures, 3u);
@@ -730,6 +731,7 @@ TEST(FaultTolerance, TornNewestGenerationResumesFromOlderBitIdentical)
     EXPECT_EQ(got.resumedGeneration, 1u);
     EXPECT_EQ(got.corruptSkippedOnResume, 1u);
     EXPECT_GE(got.degradations, 1u); // checkpoint-fallback rung
+    EXPECT_EQ(got.degradedMode, "checkpoint-fallback");
 
     EXPECT_EQ(got.valLoss, want.valLoss);
     ASSERT_EQ(got.epochs.size(), want.epochs.size());

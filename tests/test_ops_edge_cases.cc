@@ -139,5 +139,5 @@ TEST(OpsEdge, BceExtremeLogitsFinite)
 
 TEST(MailboxDeath, BadConstruction)
 {
-    EXPECT_DEATH(Mailbox(0, 4), "bad dimensions");
+    EXPECT_DEATH(Mailbox(8, 0, 4), "bad dimensions");
 }

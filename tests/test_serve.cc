@@ -258,6 +258,22 @@ TEST(Serve, SocketServerRoundTripsProtocol)
     EXPECT_FALSE(empty_client.embed({}, bad));
     empty_client.close();
 
+    // So are node ids past the model's node universe, on a connection
+    // that keeps answering well-formed requests afterwards.
+    const NodeId past_end =
+        static_cast<NodeId>(engine.model().numNodes());
+    ServeClient range_client;
+    ASSERT_TRUE(range_client.connect(sopts.socketPath));
+    EXPECT_FALSE(range_client.embed({nodes[0], past_end + 5}, bad));
+    EXPECT_FALSE(range_client.embed({NodeId{1} << 40}, bad));
+    ServeClient::ScoreResult bad_score;
+    EXPECT_FALSE(range_client.score({past_end}, {nodes[0]}, bad_score));
+    EXPECT_FALSE(range_client.score({nodes[0]}, {past_end}, bad_score));
+    ServeClient::EmbedResult again;
+    ASSERT_TRUE(range_client.embed(nodes, again));
+    EXPECT_EQ(again.rows, emb.rows);
+    range_client.close();
+
     // A second well-formed client still gets answers afterwards.
     ServeClient client2;
     ASSERT_TRUE(client2.connect(sopts.socketPath));

@@ -68,7 +68,6 @@ TEST(Supervisor, RetriesUntilTheOperationSucceeds)
     });
     EXPECT_TRUE(ok);
     EXPECT_EQ(calls, 3);
-    EXPECT_DOUBLE_EQ(counterValue(reg, "supervisor.retries"), 2.0);
     EXPECT_DOUBLE_EQ(counterValue(reg, "stg.retries"), 2.0);
     EXPECT_DOUBLE_EQ(counterValue(reg, "stg.failures"), 2.0);
 }
@@ -96,7 +95,7 @@ TEST(Supervisor, ExhaustedBudgetReturnsFalseWithTheLastError)
               std::string::npos)
         << log;
     EXPECT_DOUBLE_EQ(counterValue(reg, "doomed.failures"), 3.0);
-    EXPECT_DOUBLE_EQ(counterValue(reg, "supervisor.retries"), 2.0);
+    EXPECT_DOUBLE_EQ(counterValue(reg, "doomed.retries"), 2.0);
 }
 
 TEST(Supervisor, FalseReturnCountsLikeAnException)
@@ -113,7 +112,7 @@ TEST(Supervisor, FalseReturnCountsLikeAnException)
     EXPECT_NE(log.find("operation reported failure"), std::string::npos)
         << log;
     EXPECT_DOUBLE_EQ(counterValue(reg, "w.failures"), 1.0);
-    EXPECT_DOUBLE_EQ(counterValue(reg, "supervisor.retries"), 0.0);
+    EXPECT_DOUBLE_EQ(counterValue(reg, "w.retries"), 0.0);
 }
 
 TEST(FaultEnv, ParsesKnownVariablesStrictly)

@@ -274,8 +274,9 @@ TEST(TgDiffuser, StableNodesNeverShrinkBatches)
     while (st_a < seq.size() && st_b < seq.size()) {
         const size_t ed_a = a.lastTolerableEnd(st_a, noStable);
         const size_t ed_b = b.lastTolerableEnd(st_b, stable);
-        if (st_a == st_b)
+        if (st_a == st_b) {
             ASSERT_GE(ed_b, ed_a);
+        }
         st_a = ed_a;
         st_b = ed_b;
         if (st_a != st_b)

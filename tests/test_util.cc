@@ -338,7 +338,7 @@ TEST(Timer, MeasuresElapsedTime)
     Timer t;
     volatile double x = 0.0;
     for (int i = 0; i < 100000; ++i)
-        x += i;
+        x = x + i;
     EXPECT_GE(t.seconds(), 0.0);
     const double first = t.milliseconds();
     EXPECT_LE(first, t.milliseconds()); // monotone

@@ -60,7 +60,7 @@ COMMON="--dataset wiki --scale 400 --epochs 1 --seed 42"
 
 # 1. The disk never recovers: checkpoint writes retry, then the run
 #    degrades to "checkpointing disabled" and still completes.
-run_case write-burst 0 "checkpointing=disabled" write.log -- \
+run_case write-burst 0 "degraded=checkpointing-disabled checkpointing=disabled" write.log -- \
     CASCADE_FAULT_WRITE_FAIL_NTH=1 CASCADE_FAULT_WRITE_FAIL_COUNT=1000000 -- \
     $COMMON --policy cascade --checkpoint "$WORK/ck_burst.bin" \
     --checkpoint-every 1 --retry-max 2 --retry-base-ms 0
