@@ -15,7 +15,6 @@ CascadeBatcher::CascadeBatcher(const EventSource &src,
     TgDiffuser::Options dopts;
     dopts.chunkSize = opts.chunkSize;
     dopts.pipeline = opts.pipeline;
-    dopts.maxBatchCap = opts.maxBatchCap;
     diffuser_ =
         std::make_unique<TgDiffuser>(src, adj, train_end, dopts);
 
@@ -24,7 +23,6 @@ CascadeBatcher::CascadeBatcher(const EventSource &src,
 
     AdaptiveBatchSensor::Options aopts;
     aopts.baseBatch = opts.baseBatch;
-    aopts.sampleBatches = opts.sampleBatches;
     aopts.schedule = opts.decaySchedule;
     aopts.initFactor = opts.maxrInitFactor;
     aopts.seed = opts.seed;

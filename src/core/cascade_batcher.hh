@@ -44,14 +44,10 @@ class CascadeBatcher : public Batcher
         size_t chunkSize = 0;
         /** Overlap chunk table building with training (Cascade_EX). */
         bool pipeline = true;
-        /** ABS profiling sample count. */
-        size_t sampleBatches = 50;
         /** ABS Max_r decay schedule (ablation hook). */
         DecaySchedule decaySchedule = DecaySchedule::Logarithmic;
         /** ABS Max_r initialization factor (ablation hook). */
         double maxrInitFactor = 2.0;
-        /** Hard batch cap; 0 = uncapped. */
-        size_t maxBatchCap = 0;
         uint64_t seed = 7;
     };
 

@@ -164,8 +164,6 @@ TgDiffuser::lastTolerableEnd(size_t st, const std::vector<uint8_t> &stable)
         ? chunk_hi
         : std::min(chunk_hi, static_cast<size_t>(best) + 1);
     ed = std::max(ed, st + 1);
-    if (opts_.maxBatchCap > 0)
-        ed = std::min(ed, st + opts_.maxBatchCap);
     ed = std::min(ed, chunk_hi);
     CASCADE_CHECK(ed > st, "lastTolerableEnd made no progress");
 

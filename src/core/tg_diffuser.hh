@@ -49,8 +49,6 @@ class TgDiffuser
         size_t chunkSize = 0;
         /** Overlap next-chunk table building with training. */
         bool pipeline = true;
-        /** Hard cap on batch length; 0 = uncapped. */
-        size_t maxBatchCap = 0;
     };
 
     /**

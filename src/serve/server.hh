@@ -104,6 +104,11 @@ class ServeSocketServer
 /**
  * Blocking protocol-v1 client (tests, benchmarks, smoke scripts).
  * Not thread-safe; one per thread.
+ *
+ * embed, score and stats return false in two cases, which
+ * connected() tells apart: the server refused the request (the
+ * connection stays open and answers the next request), or the link
+ * failed (the client has closed its end and connected() is false).
  */
 class ServeClient
 {
@@ -126,7 +131,6 @@ class ServeClient
         size_t dim = 0;
         std::vector<float> rows; ///< n x dim row-major
     };
-    /** @return false on transport/protocol failure (connection dead) */
     bool embed(const std::vector<NodeId> &nodes, EmbedResult &out);
 
     struct ScoreResult

@@ -1,6 +1,5 @@
 #include "train/checkpoint.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.hh"
@@ -41,13 +40,18 @@ encodeCheckpoint(const TgnnModel &model, const Batcher &batcher,
     }
 
     w.str(batcher.name());
-    ByteWriter bw;
-    batcher.saveState(bw);
-    w.str(bw.buffer());
-    ByteWriter mw;
-    model.saveTrainingState(mw);
-    w.str(mw.buffer());
-    return w.buffer();
+    // Both state blobs are length-prefixed like ByteWriter::str, but
+    // encoded in place so the payload is written once: reserve the
+    // length, write the section, patch the length.
+    size_t at = w.size();
+    w.u64(0);
+    batcher.saveState(w);
+    w.patchU64(at, w.size() - at - sizeof(uint64_t));
+    at = w.size();
+    w.u64(0);
+    model.saveTrainingState(w);
+    w.patchU64(at, w.size() - at - sizeof(uint64_t));
+    return w.take();
 }
 
 bool
@@ -121,29 +125,6 @@ decodeCheckpoint(const std::string &payload, TgnnModel &model,
     return true;
 }
 
-bool
-saveCheckpointFile(const std::string &path, const std::string &payload,
-                   obs::MetricsRegistry *metrics)
-{
-    const bool ok = writeFileAtomic(path, payload);
-    if (metrics) {
-        if (ok) {
-            metrics->counter("checkpoint.saves").add(1);
-            metrics->counter("checkpoint.bytes_written")
-                .add(payload.size());
-        } else {
-            metrics->counter("checkpoint.write_failures").add(1);
-        }
-    }
-    return ok;
-}
-
-bool
-loadCheckpointFile(const std::string &path, std::string &payload)
-{
-    return readFileValidated(path, payload);
-}
-
 std::string
 checkpointGenerationPath(const std::string &path, size_t gen)
 {
@@ -157,127 +138,9 @@ checkpointStagePath(const std::string &path)
 }
 
 std::string
-checkpointManifestPath(const std::string &path)
-{
-    return path + ".manifest";
-}
-
-std::string
 checkpointMarkerPath(const std::string &path)
 {
     return path + ".writing";
-}
-
-namespace {
-
-constexpr uint32_t kManifestMagic = 0x43534d46; // "CSMF"
-constexpr uint32_t kManifestVersion = 1;
-
-/**
- * Record the current generation family (best-effort, advisory).
- *
- * The rotation that just ran only renames complete artifacts, so the
- * image now at generation g is byte-for-byte the one the previous
- * manifest recorded at generation g-1, and the head is the payload
- * this commit just staged. Carrying those records forward keeps the
- * per-commit bookkeeping O(manifest bytes); the old implementation
- * re-read and re-checksummed every surviving generation — tens of
- * megabytes of page-cache traffic and CRC per cadence point, all of
- * it charged to the commit path the background write is trying to
- * hide. Files the previous manifest cannot vouch for (first commit
- * of a run, an interrupted rotation, a keep bump) fall back to the
- * validated read.
- */
-void
-writeManifest(const std::string &path, size_t keep, size_t headBytes,
-              uint32_t headCrc)
-{
-    CheckpointManifest prev;
-    const bool have_prev = readCheckpointManifest(path, prev);
-
-    ByteWriter w;
-    w.u32(kManifestMagic);
-    w.u32(kManifestVersion);
-    w.u64(keep);
-    std::vector<CheckpointGeneration> gens;
-    {
-        CheckpointGeneration head;
-        head.file = checkpointGenerationPath(path, 0);
-        head.bytes = headBytes;
-        head.crc = headCrc;
-        gens.push_back(std::move(head));
-    }
-    for (size_t g = 1; g < keep; ++g) {
-        const std::string file = checkpointGenerationPath(path, g);
-        if (!fileExists(file))
-            continue; // dropped or never written: list survivors only
-        CheckpointGeneration cg;
-        cg.file = file;
-        const CheckpointGeneration *carried = nullptr;
-        if (have_prev) {
-            const std::string was =
-                checkpointGenerationPath(path, g - 1);
-            for (const CheckpointGeneration &e : prev.generations) {
-                if (e.file == was) {
-                    carried = &e;
-                    break;
-                }
-            }
-        }
-        if (carried) {
-            cg.bytes = carried->bytes;
-            cg.crc = carried->crc;
-        } else {
-            std::string payload;
-            if (!readFileValidated(file, payload))
-                continue; // torn: the manifest lists survivors
-            cg.bytes = payload.size();
-            cg.crc = crc32(payload.data(), payload.size());
-        }
-        gens.push_back(std::move(cg));
-    }
-    w.u64(gens.size());
-    for (const CheckpointGeneration &cg : gens) {
-        w.str(cg.file);
-        w.u64(cg.bytes);
-        w.u32(cg.crc);
-    }
-    if (!writeFileAtomic(checkpointManifestPath(path), w.buffer())) {
-        CASCADE_LOG("checkpoint: manifest write to %s failed "
-                    "(advisory only; recovery scans files directly)",
-                    checkpointManifestPath(path).c_str());
-    }
-}
-
-} // namespace
-
-bool
-readCheckpointManifest(const std::string &path, CheckpointManifest &out)
-{
-    std::string payload;
-    if (!readFileValidated(checkpointManifestPath(path), payload))
-        return false;
-    ByteReader r(payload);
-    uint32_t magic = 0, version = 0;
-    uint64_t keep = 0, count = 0;
-    if (!r.u32(magic) || !r.u32(version) || magic != kManifestMagic ||
-        version != kManifestVersion || !r.u64(keep) || !r.u64(count)) {
-        return false;
-    }
-    CheckpointManifest m;
-    m.keep = keep;
-    for (uint64_t i = 0; i < count; ++i) {
-        CheckpointGeneration cg;
-        uint64_t bytes = 0;
-        uint32_t crc = 0;
-        if (!r.str(cg.file) || !r.u64(bytes) || !r.u32(crc))
-            return false;
-        cg.bytes = bytes;
-        cg.crc = crc;
-        m.generations.push_back(std::move(cg));
-    }
-    out = std::move(m);
-    return true;
 }
 
 bool
@@ -338,21 +201,7 @@ saveCheckpointRotated(const std::string &path,
         metrics->counter("checkpoint.bytes_written")
             .add(payload.size());
     }
-    writeManifest(path, keep, payload.size(),
-                  crc32(payload.data(), payload.size()));
     return true;
-}
-
-bool
-anyCheckpointGenerationExists(const std::string &path, size_t keep)
-{
-    if (fileExists(checkpointStagePath(path)))
-        return true;
-    for (size_t g = 0; g < std::max<size_t>(keep, 1); ++g) {
-        if (fileExists(checkpointGenerationPath(path, g)))
-            return true;
-    }
-    return false;
 }
 
 ResumeScan

@@ -35,7 +35,6 @@
  *   ck.bin.new      staging slot (complete artifact, mid-commit)
  *   ck.bin          newest committed generation
  *   ck.bin.1 ...    older generations, ck.bin.(keep-1) the oldest
- *   ck.bin.manifest rotation record (generation files, sizes, CRCs)
  *   ck.bin.writing  write-window marker (present only while a
  *                   checkpoint commit is in flight; a leftover marker
  *                   on startup means the previous process died
@@ -98,17 +97,6 @@ std::string encodeCheckpoint(const TgnnModel &model,
 bool decodeCheckpoint(const std::string &payload, TgnnModel &model,
                       Batcher &batcher, TrainerCursor &cursor);
 
-/**
- * Commit a checkpoint payload to disk (atomic, CRC-protected). With a
- * registry, counts saves/failures/bytes (`checkpoint.*` instruments).
- */
-bool saveCheckpointFile(const std::string &path,
-                        const std::string &payload,
-                        obs::MetricsRegistry *metrics = nullptr);
-
-/** Read back a checkpoint payload, rejecting corrupt files. */
-bool loadCheckpointFile(const std::string &path, std::string &payload);
-
 /** @name Rotating checkpoint generations */
 /** @{ */
 
@@ -117,25 +105,8 @@ std::string checkpointGenerationPath(const std::string &path,
                                      size_t gen);
 /** Staging slot a new generation is committed through (`path.new`). */
 std::string checkpointStagePath(const std::string &path);
-/** Rotation record (`path.manifest`). */
-std::string checkpointManifestPath(const std::string &path);
 /** Write-window marker (`path.writing`). */
 std::string checkpointMarkerPath(const std::string &path);
-
-/** One generation as recorded in the manifest (newest first). */
-struct CheckpointGeneration
-{
-    std::string file;    ///< on-disk path
-    uint64_t bytes = 0;  ///< payload size (CRC footer excluded)
-    uint32_t crc = 0;    ///< CRC32 of the payload
-};
-
-/** Rotation record written alongside the generation family. */
-struct CheckpointManifest
-{
-    uint64_t keep = 0; ///< configured generation budget
-    std::vector<CheckpointGeneration> generations; ///< newest first
-};
 
 /**
  * Commit `payload` as the newest generation, keeping up to `keep`
@@ -144,23 +115,15 @@ struct CheckpointManifest
  * atomically in the `.new` slot first; only on success are older
  * generations shifted (`path` -> `path.1` -> ... , the oldest
  * dropped) and the stage renamed to `path`. A failed write leaves
- * every existing generation untouched. Writes the manifest last
- * (best-effort: the manifest is advisory, recovery never depends on
- * it). Counts `checkpoint.saves` / `checkpoint.write_failures` /
+ * every existing generation untouched. Each generation is one
+ * CRC-framed file; nothing else records the family. Counts
+ * `checkpoint.saves` / `checkpoint.write_failures` /
  * `checkpoint.bytes_written` / `checkpoint.rotations`.
  */
 CASCADE_TRAJECTORY
 bool saveCheckpointRotated(const std::string &path,
                            const std::string &payload, size_t keep,
                            obs::MetricsRegistry *metrics = nullptr);
-
-/** Parse `path.manifest`. @return false if absent or corrupt. */
-bool readCheckpointManifest(const std::string &path,
-                            CheckpointManifest &out);
-
-/** True when any generation file (stage, head or older) exists. */
-bool anyCheckpointGenerationExists(const std::string &path,
-                                   size_t keep);
 
 /** Outcome of a newest-to-oldest recovery scan. */
 struct ResumeScan

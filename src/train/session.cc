@@ -88,13 +88,10 @@ TrainingSession::TrainingSession(TgnnModel &model,
 
     CASCADE_CHECK(options_.workers >= 1,
                   "TrainingSession: --workers must be >= 1");
-    const bool sharded = options_.workers > 1 ||
-                         options_.workerProcs || options_.shards > 0;
-    if (sharded) {
+    if (options_.workers > 1 || options_.shards > 0) {
         WorkerGroupOptions wo;
         wo.workers = options_.workers;
         wo.shards = options_.shards;
-        wo.processes = options_.workerProcs;
         wo.seed = model_.seed();
         wo.heartbeatMs = options_.workerHeartbeatMs;
         if (!options_.checkpointPath.empty())
@@ -487,7 +484,6 @@ TrainingSession::assembleReport()
     if (workerGroup_) {
         report_.workers = options_.workers;
         report_.shards = workerGroup_->shards();
-        report_.workerProcs = options_.workerProcs;
         report_.workerDeaths = workerGroup_->deaths();
         report_.workerRebalances = workerGroup_->rebalances();
     }
@@ -525,7 +521,7 @@ TrainingSession::run()
 
     // Bring the worker shards up at this quiescent point: the master
     // replica is final (resume applied), so forked children inherit
-    // it copy-on-write and in-process replicas clone it directly.
+    // it copy-on-write.
     if (workerGroup_)
         workerGroup_->start();
 

@@ -9,12 +9,10 @@
 #include "util/parallel.hh"
 #include "util/timer.hh"
 
-#ifndef _WIN32
 #include <csignal>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 namespace cascade {
 
@@ -51,10 +49,6 @@ WorkerGroup::WorkerGroup(TgnnModel &master, const EventSource &data,
     CASCADE_CHECK(options_.workers >= 1,
                   "WorkerGroup: need at least one worker");
     shards_ = options_.shards > 0 ? options_.shards : options_.workers;
-#ifdef _WIN32
-    CASCADE_CHECK(!options_.processes,
-                  "WorkerGroup: forked workers need POSIX");
-#endif
 }
 
 WorkerGroup::~WorkerGroup()
@@ -62,23 +56,9 @@ WorkerGroup::~WorkerGroup()
     shutdown();
 }
 
-TgnnModel &
-WorkerGroup::replica(size_t rank)
-{
-    if (rank == 0)
-        return master_;
-    return *replicas_[rank - 1];
-}
-
 size_t
 WorkerGroup::aliveWorkers() const
 {
-    if (!options_.processes) {
-        size_t n = 0;
-        for (char a : aliveInProcess_)
-            n += a ? 1 : 0;
-        return n;
-    }
     size_t n = 0;
     for (const Proc &p : procs_)
         n += p.alive ? 1 : 0;
@@ -91,9 +71,7 @@ WorkerGroup::shardAssignment() const
     std::vector<std::vector<uint32_t>> assign(options_.workers);
     std::vector<size_t> alive;
     for (size_t rank = 0; rank < options_.workers; ++rank) {
-        const bool up = options_.processes ? procs_[rank].alive
-                                           : aliveInProcess_[rank] != 0;
-        if (up)
+        if (procs_[rank].alive)
             alive.push_back(rank);
     }
     if (alive.empty())
@@ -108,12 +86,12 @@ WorkerGroup::shardAssignment() const
 }
 
 ShardResult
-WorkerGroup::computeShard(TgnnModel &model, uint64_t globalBatch,
-                          size_t st, size_t ed, uint32_t shard)
+WorkerGroup::computeShard(uint64_t globalBatch, size_t st, size_t ed,
+                          uint32_t shard)
 {
     const auto slice = shardSlice(st, ed, shards_, shard);
     Rng rng(shardSeed(options_.seed, globalBatch, shard));
-    TgnnModel::Forward f = model.stepForwardWithRng(
+    TgnnModel::Forward f = master_.stepForwardWithRng(
         data_, adj_, slice.first, slice.second, rng);
     ShardResult r;
     r.shard = shard;
@@ -122,7 +100,7 @@ WorkerGroup::computeShard(TgnnModel &model, uint64_t globalBatch,
     r.rankAccuracy = f.result.rankAccuracy;
     r.workRows = f.result.workRows;
     r.sampledNeighbors = f.result.sampledNeighbors;
-    r.grads = model.collectGradients(f);
+    r.grads = master_.collectGradients(f);
     r.writeback = std::move(f.writeback);
     return r;
 }
@@ -130,8 +108,7 @@ WorkerGroup::computeShard(TgnnModel &model, uint64_t globalBatch,
 void
 WorkerGroup::writePidRoster() const
 {
-#ifndef _WIN32
-    if (options_.pidFile.empty() || !options_.processes)
+    if (options_.pidFile.empty())
         return;
     std::string text;
     for (size_t rank = 0; rank < procs_.size(); ++rank) {
@@ -143,7 +120,6 @@ WorkerGroup::writePidRoster() const
     if (!writeFileAtomic(options_.pidFile, text))
         CASCADE_LOG("warning: failed to write worker PID roster %s",
                     options_.pidFile.c_str());
-#endif
 }
 
 void
@@ -158,31 +134,9 @@ WorkerGroup::start()
             .set(static_cast<double>(shards_));
     }
 
-    if (!options_.processes) {
-        aliveInProcess_.assign(options_.workers, 1);
-        if (options_.workers > 1) {
-            // Ranks 1..N-1 get replicas cloned from the master via
-            // the checkpoint codec — the same staged path resume
-            // uses, so a replica starts bit-identical by contract.
-            ByteWriter w;
-            master_.saveTrainingState(w);
-            for (size_t rank = 1; rank < options_.workers; ++rank) {
-                auto m = std::make_unique<TgnnModel>(
-                    master_.config(), master_.numNodes(),
-                    master_.edgeFeatDim(), options_.seed);
-                ByteReader r(w.buffer());
-                CASCADE_CHECK(m->loadTrainingState(r),
-                              "WorkerGroup: replica clone failed");
-                replicas_.push_back(std::move(m));
-            }
-        }
-        return;
-    }
-
-#ifndef _WIN32
-    // Forked runtime. fork() at this quiescent point hands every
-    // child a copy-on-write image of the master replica — no state
-    // transfer; the child simply keeps using master_ as its replica.
+    // fork() at this quiescent point hands every child a
+    // copy-on-write image of the master replica — no state transfer;
+    // the child simply keeps using master_ as its replica.
     procs_.resize(options_.workers);
     for (size_t rank = 0; rank < options_.workers; ++rank) {
         int fds[2] = {-1, -1};
@@ -208,10 +162,8 @@ WorkerGroup::start()
         procs_[rank].alive = true;
     }
     writePidRoster();
-#endif
 }
 
-#ifndef _WIN32
 void
 WorkerGroup::workerMain(size_t rank, int fd)
 {
@@ -265,8 +217,8 @@ WorkerGroup::workerMain(size_t rank, int fd)
                 if (slice.first == slice.second)
                     continue;
                 results.push_back(computeShard(
-                    master_, gb, static_cast<size_t>(lo),
-                    static_cast<size_t>(hi), shard));
+                    gb, static_cast<size_t>(lo), static_cast<size_t>(hi),
+                    shard));
             }
             reply.u32(kRspShards);
             reply.u32(static_cast<uint32_t>(results.size()));
@@ -307,18 +259,10 @@ WorkerGroup::workerMain(size_t rank, int fd)
             ::_exit(0); // supervisor gone; nothing left to serve
     }
 }
-#else
-void
-WorkerGroup::workerMain(size_t, int)
-{
-    CASCADE_FATAL("forked workers are POSIX-only");
-}
-#endif
 
 void
 WorkerGroup::declareDead(size_t rank, const char *why)
 {
-#ifndef _WIN32
     Proc &p = procs_[rank];
     if (!p.alive)
         return;
@@ -346,69 +290,22 @@ WorkerGroup::declareDead(size_t rank, const char *why)
     writePidRoster();
     if (onDegrade_)
         onDegrade_(aliveWorkers() > 0 ? "worker-fold" : "worker-local");
-#else
-    (void)rank;
-    (void)why;
-#endif
 }
 
 bool
 WorkerGroup::sendCommand(size_t rank, const std::string &payload)
 {
-#ifndef _WIN32
     if (!procs_[rank].alive)
         return false;
     return writeFrameFd(procs_[rank].fd, payload);
-#else
-    (void)rank;
-    (void)payload;
-    return false;
-#endif
 }
 
 StepResult
-WorkerGroup::runBatchInProcess(uint64_t globalBatch, size_t st,
-                               size_t ed)
+WorkerGroup::runBatch(uint64_t globalBatch, size_t st, size_t ed)
 {
-    const auto assign = shardAssignment();
-    // One slot vector per rank: a rank's task writes only its own
-    // slot and its own replica, so the fan-out needs no locking.
-    std::vector<std::vector<ShardResult>> perRank(options_.workers);
-    parallelFor(
-        0, options_.workers,
-        [&](size_t rank) {
-            TgnnModel &model = replica(rank);
-            for (uint32_t s : assign[rank]) {
-                const auto slice = shardSlice(st, ed, shards_, s);
-                if (slice.first == slice.second)
-                    continue;
-                perRank[rank].push_back(
-                    computeShard(model, globalBatch, st, ed, s));
-            }
-        },
-        /*grain=*/1);
-
-    std::vector<ShardResult> results;
-    for (auto &rr : perRank) {
-        for (ShardResult &sr : rr)
-            results.push_back(std::move(sr));
-    }
-    MergedUpdate update = mergeShardResults(std::move(results));
-
-    // Broadcast: every replica applies the SAME update (the apply
-    // only reads the shared update, so replicas advance in parallel),
-    // then the master applies it and keeps the feedback.
-    parallelFor(
-        1, options_.workers,
-        [&](size_t rank) { applyMergedUpdate(replica(rank), data_, update); },
-        /*grain=*/1);
-    return applyMergedUpdate(master_, data_, update);
-}
-
-StepResult
-WorkerGroup::runBatchForked(uint64_t globalBatch, size_t st, size_t ed)
-{
-#ifndef _WIN32
+    CASCADE_CHECK(started_ && !shutdown_,
+                  "WorkerGroup: runBatch outside start()/shutdown()");
+    Timer t;
     const auto assign = shardAssignment();
 
     // Dispatch compute to every alive worker with work; a failed send
@@ -480,8 +377,7 @@ WorkerGroup::runBatchForked(uint64_t globalBatch, size_t st, size_t ed)
         const auto slice = shardSlice(st, ed, shards_, s);
         if (slice.first == slice.second)
             return;
-        results.push_back(
-            computeShard(master_, globalBatch, st, ed, s));
+        results.push_back(computeShard(globalBatch, st, ed, s));
         ++localShards;
     };
     for (uint32_t s : missing)
@@ -522,24 +418,7 @@ WorkerGroup::runBatchForked(uint64_t globalBatch, size_t st, size_t ed)
         if (fs != FrameStatus::Ok || !r.u32(cmd) || cmd != kRspAck)
             declareDead(rank, "apply not acknowledged");
     }
-    return applyMergedUpdate(master_, data_, update);
-#else
-    (void)globalBatch;
-    (void)st;
-    (void)ed;
-    CASCADE_FATAL("forked workers are POSIX-only");
-#endif
-}
-
-StepResult
-WorkerGroup::runBatch(uint64_t globalBatch, size_t st, size_t ed)
-{
-    CASCADE_CHECK(started_ && !shutdown_,
-                  "WorkerGroup: runBatch outside start()/shutdown()");
-    Timer t;
-    StepResult r = options_.processes
-                       ? runBatchForked(globalBatch, st, ed)
-                       : runBatchInProcess(globalBatch, st, ed);
+    StepResult r = applyMergedUpdate(master_, data_, update);
     master_.recordStepMetrics(r);
     if (metrics_) {
         metrics_->counter("worker.batches").add(1);
@@ -555,19 +434,6 @@ WorkerGroup::resyncReplicas()
         return;
     if (metrics_)
         metrics_->counter("worker.resyncs").add(1);
-    if (!options_.processes) {
-        if (options_.workers <= 1)
-            return;
-        ByteWriter w;
-        master_.saveTrainingState(w);
-        for (auto &m : replicas_) {
-            ByteReader r(w.buffer());
-            CASCADE_CHECK(m->loadTrainingState(r),
-                          "WorkerGroup: replica resync failed");
-        }
-        return;
-    }
-#ifndef _WIN32
     ByteWriter blob;
     master_.saveTrainingState(blob);
     ByteWriter w;
@@ -588,7 +454,6 @@ WorkerGroup::resyncReplicas()
         if (fs != FrameStatus::Ok || !r.u32(cmd) || cmd != kRspAck)
             declareDead(rank, "sync not acknowledged");
     }
-#endif
 }
 
 void
@@ -596,12 +461,6 @@ WorkerGroup::resetReplicas()
 {
     if (!started_ || shutdown_)
         return;
-    if (!options_.processes) {
-        for (auto &m : replicas_)
-            m->resetState();
-        return;
-    }
-#ifndef _WIN32
     ByteWriter w;
     w.u32(kCmdReset);
     for (size_t rank = 0; rank < options_.workers; ++rank) {
@@ -619,7 +478,6 @@ WorkerGroup::resetReplicas()
         if (fs != FrameStatus::Ok || !r.u32(cmd) || cmd != kRspAck)
             declareDead(rank, "reset not acknowledged");
     }
-#endif
 }
 
 void
@@ -630,11 +488,6 @@ WorkerGroup::shutdown()
         return;
     }
     shutdown_ = true;
-    if (!options_.processes) {
-        replicas_.clear();
-        return;
-    }
-#ifndef _WIN32
     ByteWriter w;
     w.u32(kCmdShutdown);
     for (size_t rank = 0; rank < options_.workers; ++rank) {
@@ -664,7 +517,6 @@ WorkerGroup::shutdown()
     }
     if (!options_.pidFile.empty())
         (void)removeFileIfExists(options_.pidFile);
-#endif
 }
 
 } // namespace cascade

@@ -4,29 +4,23 @@
  *
  * A WorkerGroup partitions each global batch's event slice into K
  * logical shards (train/collective.hh) and distributes them over N
- * workers. Two runtimes share one protocol:
- *
- *   in-process — N bit-identical model replicas inside the training
- *     process; shard forwards fan out over the ThreadPool. Fast, no
- *     isolation: a crash still takes the whole process down.
- *
- *   forked — N fork()ed worker processes, each holding a replica
- *     (copy-on-write from the master at start()), joined to the
- *     supervisor by CRC-framed SOCK_STREAM socketpairs (util/binio
- *     writeFrameFd/readFrameFd). A SIGKILL'd or hung worker is a
- *     *survivable fault*: the poll deadline on its reply doubles as
- *     its heartbeat, the supervisor declares it dead (Eof = died,
- *     Timeout = hung → SIGKILL), recomputes the dead worker's shards
- *     on the master's own replica for THIS batch, and folds its
- *     shards into the survivors for future batches.
+ * fork()ed worker processes, each holding a replica (copy-on-write
+ * from the master at start()), joined to the supervisor by
+ * CRC-framed SOCK_STREAM socketpairs (util/binio
+ * writeFrameFd/readFrameFd). A SIGKILL'd or hung worker is a
+ * *survivable fault*: the poll deadline on its reply doubles as its
+ * heartbeat, the supervisor declares it dead (Eof = died, Timeout =
+ * hung → SIGKILL), recomputes the dead worker's shards on the
+ * master's own replica for THIS batch, and folds its shards into the
+ * survivors for future batches.
  *
  * Determinism contract (the whole point): a shard's result is a pure
  * function of (replica state, shard id, shard RNG) and the merge is a
  * fixed-order reduction, so per-batch losses and saved model bytes
- * are bit-identical for ANY worker count, ANY runtime, and ANY death
- * schedule — including mid-epoch kills, whose shards the master
- * recomputes bit-identically. K (--shards) alone defines the
- * trajectory, exactly like the batch size.
+ * are bit-identical for ANY worker count and ANY death schedule —
+ * including mid-epoch kills, whose shards the master recomputes
+ * bit-identically. K (--shards) alone defines the trajectory,
+ * exactly like the batch size.
  *
  * Master-state invariant behind the recovery path: the master's
  * replica is mutated only by applyMergedUpdate, which runs strictly
@@ -47,7 +41,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,17 +59,15 @@ struct WorkerGroupOptions
     size_t workers = 1;
     /** Logical shard count K; 0 = one shard per worker. */
     size_t shards = 0;
-    /** fork() the workers instead of in-process replicas. */
-    bool processes = false;
     /** Run seed feeding shardSeed (must equal the model's). */
     uint64_t seed = 0;
     /** Reply deadline per worker compute, ms (heartbeat watchdog). */
     size_t heartbeatMs = 30000;
     /**
-     * Worker PID roster path (forked runtime; empty = none). Written
-     * atomically with a CRC frame so external chaos tools
-     * (tools/chaos_worker_kill) can read it without torn-read races;
-     * rewritten after every death, removed at shutdown.
+     * Worker PID roster path (empty = none). Written atomically with
+     * a CRC frame so external chaos tools (tools/chaos_worker_kill)
+     * can read it without torn-read races; rewritten after every
+     * death, removed at shutdown.
      */
     std::string pidFile;
 };
@@ -104,11 +95,10 @@ class WorkerGroup
     WorkerGroup &operator=(const WorkerGroup &) = delete;
 
     /**
-     * Bring the workers up: construct replicas (in-process) or fork
-     * the worker processes (children inherit the master replica
-     * copy-on-write, so no state transfer is needed). Call at a
-     * quiescent point — after resume restored the master, before the
-     * first batch.
+     * Bring the workers up: fork the worker processes (children
+     * inherit the master replica copy-on-write, so no state transfer
+     * is needed). Call at a quiescent point — after resume restored
+     * the master, before the first batch.
      */
     void start();
 
@@ -175,14 +165,12 @@ class WorkerGroup
     /** Shard ids owned by each alive worker under round-robin fold. */
     std::vector<std::vector<uint32_t>> shardAssignment() const;
 
-    /** Compute one shard on `model` (pure; any replica, any time). */
-    ShardResult computeShard(TgnnModel &model, uint64_t globalBatch,
-                             size_t st, size_t ed, uint32_t shard);
-
-    StepResult runBatchInProcess(uint64_t globalBatch, size_t st,
-                                 size_t ed);
-    StepResult runBatchForked(uint64_t globalBatch, size_t st,
-                              size_t ed);
+    /**
+     * Compute one shard on master_ — in a worker process, that
+     * worker's replica (pure; any replica, any time).
+     */
+    ShardResult computeShard(uint64_t globalBatch, size_t st, size_t ed,
+                             uint32_t shard);
 
     /** Forked child's command loop; never returns (calls _exit). */
     [[noreturn]] void workerMain(size_t rank, int fd);
@@ -194,7 +182,6 @@ class WorkerGroup
     bool sendCommand(size_t rank, const std::string &payload);
 
     void writePidRoster() const;
-    TgnnModel &replica(size_t rank);
 
     TgnnModel &master_;
     const EventSource &data_;
@@ -208,11 +195,8 @@ class WorkerGroup
     size_t deaths_ = 0;
     size_t rebalances_ = 0;
 
-    /** In-process replicas for ranks 1..N-1 (rank 0 = master). */
-    std::vector<std::unique_ptr<TgnnModel>> replicas_;
     /** Forked workers by rank. */
     std::vector<Proc> procs_;
-    std::vector<char> aliveInProcess_; ///< in-process liveness (all 1)
 
     std::function<void(const std::string &)> onDegrade_;
 };

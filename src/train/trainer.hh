@@ -100,8 +100,6 @@ struct TrainReport
     size_t workers = 1;
     /** Logical shard count K (trajectory-defining; 0 = unsharded). */
     size_t shards = 0;
-    /** The workers ran as forked processes (vs in-process replicas). */
-    bool workerProcs = false;
     /** Workers that died (SIGKILL, crash) and were folded away. */
     size_t workerDeaths = 0;
     /** Shard reassignments performed after worker deaths. */
@@ -160,18 +158,13 @@ struct TrainOptions
     RetryOptions retry;
 
     /**
-     * Worker shards (train/shard.hh): number of workers computing the
-     * batch's logical shards. 1 = classic unsharded loop. >1 is a
-     * NEW deterministic trajectory governed by `shards`.
+     * Worker shards (train/shard.hh): number of fork()ed worker
+     * processes computing the batch's logical shards. 1 with
+     * shards = 0 is the classic unsharded loop; otherwise a NEW
+     * deterministic trajectory governed by `shards`, in which a
+     * SIGKILL'd worker is a survivable fault.
      */
     size_t workers = 1;
-    /**
-     * Run the workers as fork()ed processes joined by CRC-framed
-     * socketpairs instead of in-process replicas. Same trajectory as
-     * in-process for equal (workers→any, shards) — but a SIGKILL'd
-     * worker becomes a survivable fault instead of process death.
-     */
-    bool workerProcs = false;
     /**
      * Logical shard count K — trajectory-defining, like the batch
      * size: runs with equal K are bit-identical for ANY worker count.

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "util/fault.hh"
+#include "util/logging.hh"
 
 #ifdef _WIN32
 #include <io.h>
@@ -140,6 +141,14 @@ ByteWriter::str(const std::string &s)
 {
     u64(s.size());
     bytes(s.data(), s.size());
+}
+
+void
+ByteWriter::patchU64(size_t at, uint64_t v)
+{
+    CASCADE_CHECK(at <= buf_.size() && buf_.size() - at >= sizeof(v),
+                  "ByteWriter::patchU64 past the end");
+    std::memcpy(&buf_[at], &v, sizeof(v));
 }
 
 bool

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 namespace cascade {
 
@@ -34,9 +35,13 @@ class ByteWriter
     void bytes(const void *data, size_t len);
     /** Length-prefixed string (u64 length + raw bytes). */
     void str(const std::string &s);
+    /** Overwrite the u64 written earlier at byte offset `at`. */
+    void patchU64(size_t at, uint64_t v);
 
     const std::string &buffer() const { return buf_; }
     size_t size() const { return buf_.size(); }
+    /** Move the buffer out, leaving the writer empty. */
+    std::string take() { return std::exchange(buf_, std::string()); }
 
   private:
     std::string buf_;

@@ -60,8 +60,8 @@
  *                                     supervisor's fold-into-
  *                                     survivors recovery must absorb
  *                                     (one-shot per entry; consulted
- *                                     only by the forked worker
- *                                     runtime, train/shard.cc)
+ *                                     by the worker processes,
+ *                                     train/shard.cc)
  *   CASCADE_FAULT_WORKER_HANG_MS=B@R=ms
  *                                     worker rank R stalls `ms`
  *                                     milliseconds before replying to
@@ -192,9 +192,9 @@ double checkpointLatencyMs();
 /**
  * True when the forked worker with rank `rank` should SIGKILL itself
  * before computing `globalBatch` (WORKER_KILL_NTH). Each armed
- * (batch, rank) entry fires at most once; only the forked worker
- * runtime (train/shard.cc) consults this — in-process workers share
- * the supervisor's fate and cannot die independently.
+ * (batch, rank) entry fires at most once; the worker process
+ * (train/shard.cc) consults this, after fork() has handed it a copy
+ * of the armed plan.
  */
 bool workerKillNow(uint64_t globalBatch, size_t rank);
 

@@ -10,6 +10,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -181,6 +183,65 @@ TEST(Checkpoint, CursorRoundTrip)
     EXPECT_EQ(back.completed[1].wallSeconds, 0.0);
 }
 
+TEST(Checkpoint, PayloadLayoutIsUnchanged)
+{
+    // Run the Cascade batcher a few batches in, so the batcher and
+    // model sections both carry non-trivial state.
+    Fixture f(400.0);
+    TgnnModel model = freshModel(f);
+    CascadeBatcher batcher = freshCascade(f);
+    TrainerCursor cur;
+    cur.epoch = 1;
+    cur.lossSum = 0.375;
+    cur.completed.resize(1);
+    cur.completed[0].trainLoss = 0.5;
+    cur.completed[0].batches = 9;
+    while (cur.batchIndex < 3 && cur.st < f.trainEnd) {
+        const size_t st = static_cast<size_t>(cur.st);
+        const size_t ed = batcher.next(st);
+        StepResult r = model.step(f.src, f.adj, st, ed, true);
+        BatchFeedback fb;
+        fb.batchIndex = static_cast<size_t>(cur.batchIndex);
+        fb.st = st;
+        fb.ed = ed;
+        fb.loss = r.loss;
+        fb.updatedNodes = &r.updatedNodes;
+        fb.memCosine = &r.memCosine;
+        batcher.onBatchDone(fb);
+        ++cur.batchIndex;
+        ++cur.globalBatch;
+        cur.st = ed;
+    }
+    ASSERT_EQ(cur.batchIndex, 3u);
+
+    // The CSCK v3 layout written field by field, each state blob from
+    // its own writer and appended as a length-prefixed string.
+    ByteWriter want;
+    want.u32(0x4353434b); // "CSCK"
+    want.u32(3);
+    for (uint64_t v : {cur.epoch, cur.st, cur.batchIndex, cur.globalBatch,
+                       cur.totalBatches, cur.totalEvents, cur.epochEvents})
+        want.u64(v);
+    want.f64(cur.lossSum);
+    want.u64(cur.completed.size());
+    for (const EpochStats &es : cur.completed) {
+        want.f64(es.trainLoss);
+        want.u64(es.batches);
+        want.f64(es.avgBatchSize);
+        want.f64(es.deviceSeconds);
+        want.f64(es.stableUpdateRatio);
+    }
+    want.str(batcher.name());
+    ByteWriter batcher_bytes;
+    ASSERT_TRUE(batcher.saveState(batcher_bytes));
+    want.str(batcher_bytes.buffer());
+    ByteWriter model_bytes;
+    model.saveTrainingState(model_bytes);
+    want.str(model_bytes.buffer());
+
+    EXPECT_EQ(encodeCheckpoint(model, batcher, cur), want.buffer());
+}
+
 TEST(Checkpoint, CorruptOrMismatchedPayloadLeavesTargetsUntouched)
 {
     Fixture f(400.0);
@@ -221,10 +282,10 @@ TEST(Checkpoint, FileLevelCorruptionIsRejected)
     TrainerCursor cur;
     const std::string payload = encodeCheckpoint(model, batcher, cur);
     const std::string path = tmpPath("ckpt_corrupt.bin");
-    ASSERT_TRUE(saveCheckpointFile(path, payload));
+    ASSERT_TRUE(writeFileAtomic(path, payload));
 
     std::string loaded;
-    ASSERT_TRUE(loadCheckpointFile(path, loaded));
+    ASSERT_TRUE(readFileValidated(path, loaded));
     EXPECT_EQ(loaded, payload);
 
     // Flip one payload byte on disk: the CRC32 footer catches it.
@@ -237,9 +298,9 @@ TEST(Checkpoint, FileLevelCorruptionIsRejected)
     std::fseek(fp, 40, SEEK_SET);
     std::fputc(c ^ 0x40, fp);
     std::fclose(fp);
-    EXPECT_FALSE(loadCheckpointFile(path, loaded));
-    EXPECT_FALSE(loadCheckpointFile(tmpPath("ckpt_missing.bin"),
-                                    loaded));
+    EXPECT_FALSE(readFileValidated(path, loaded));
+    EXPECT_FALSE(readFileValidated(tmpPath("ckpt_missing.bin"),
+                                   loaded));
 }
 
 TEST(FaultTolerance, CrashAndResumeIsBitIdenticalFixedBatcher)
@@ -278,7 +339,7 @@ TEST(FaultTolerance, CrashAndResumeIsBitIdenticalFixedBatcher)
         // run() returned with the session still alive: the crash
         // batch's generation is already the newest on disk.
         std::string payload;
-        ASSERT_TRUE(loadCheckpointFile(path, payload));
+        ASSERT_TRUE(readFileValidated(path, payload));
         TgnnModel probe = freshModel(f);
         FixedBatcher pb(f.trainEnd, f.spec.baseBatch);
         TrainerCursor on_disk;
@@ -399,7 +460,7 @@ TEST(FaultTolerance, CheckpointWriteFailureDoesNotKillTraining)
     EXPECT_GE(fault::injectedCount(), 1u);
     // Later snapshots still committed a valid checkpoint.
     std::string payload;
-    EXPECT_TRUE(loadCheckpointFile(path, payload));
+    EXPECT_TRUE(readFileValidated(path, payload));
 }
 
 TEST(FaultTolerance, CheckpointWriteRetrySucceedsAndIsCounted)
@@ -426,7 +487,7 @@ TEST(FaultTolerance, CheckpointWriteRetrySucceedsAndIsCounted)
     EXPECT_EQ(r.checkpointWriteFailures, 1u);
     EXPECT_EQ(r.checkpointRetries, 1u);
     std::string payload;
-    EXPECT_TRUE(loadCheckpointFile(path, payload));
+    EXPECT_TRUE(readFileValidated(path, payload));
 }
 
 TEST(FaultTolerance, PersistentWriteFailuresDisableCheckpointing)
@@ -459,7 +520,7 @@ TEST(FaultTolerance, PersistentWriteFailuresDisableCheckpointing)
     EXPECT_EQ(r.checkpointWriteFailures, 3u);
     EXPECT_TRUE(std::isfinite(r.valLoss));
     std::string payload;
-    EXPECT_FALSE(loadCheckpointFile(path, payload));
+    EXPECT_FALSE(readFileValidated(path, payload));
 }
 
 TEST(FaultTolerance, GuardExhaustionFailsLoudly)
@@ -513,7 +574,6 @@ void
 cleanFamily(const std::string &path, size_t keep = 8)
 {
     ASSERT_TRUE(removeFileIfExists(checkpointStagePath(path)));
-    ASSERT_TRUE(removeFileIfExists(checkpointManifestPath(path)));
     ASSERT_TRUE(removeFileIfExists(checkpointMarkerPath(path)));
     for (size_t g = 0; g < keep; ++g) {
         ASSERT_TRUE(
@@ -538,12 +598,18 @@ payloadAtBatch(const Fixture &f, TgnnModel &model, Batcher &batcher,
 
 TEST(CheckpointRotation, KeepsNGenerationsNewestFirst)
 {
-    const std::string path = tmpPath("rot.bin");
+    // A directory of its own, so the listing below sees this family
+    // only (TempDir persists across test-binary runs).
+    const std::filesystem::path dir =
+        std::filesystem::path(tmpPath("rot_family"));
+    std::filesystem::remove_all(dir);
+    ASSERT_TRUE(std::filesystem::create_directory(dir));
+    const std::string path = (dir / "rot.bin").string();
     fault::reset();
-    cleanFamily(path);
 
     // Five commits with keep=3: only the newest three survive, in
-    // head, .1, .2 order, and the manifest lists exactly them.
+    // head, .1, .2 order, and they are the only files the family
+    // leaves on disk.
     std::vector<std::string> payloads;
     for (int i = 0; i < 5; ++i)
         payloads.push_back("payload-" + std::to_string(i));
@@ -563,15 +629,11 @@ TEST(CheckpointRotation, KeepsNGenerationsNewestFirst)
     EXPECT_FALSE(fileExists(checkpointGenerationPath(path, 3)));
     EXPECT_FALSE(fileExists(checkpointStagePath(path)));
 
-    CheckpointManifest m;
-    ASSERT_TRUE(readCheckpointManifest(path, m));
-    EXPECT_EQ(m.keep, 3u);
-    ASSERT_EQ(m.generations.size(), 3u);
-    EXPECT_EQ(m.generations[0].file,
-              checkpointGenerationPath(path, 0));
-    EXPECT_EQ(m.generations[0].bytes, payloads[4].size());
-    EXPECT_EQ(m.generations[0].crc,
-              crc32(payloads[4].data(), payloads[4].size()));
+    std::set<std::string> listed;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        listed.insert(entry.path().filename().string());
+    EXPECT_EQ(listed,
+              (std::set<std::string>{"rot.bin", "rot.bin.1", "rot.bin.2"}));
 }
 
 TEST(CheckpointRotation, StageFailureLeavesGenerationsUntouched)
@@ -669,7 +731,9 @@ TEST(CheckpointRotation, NoFilesVsAllCorruptOutcomes)
     fault::reset();
     cleanFamily(path);
 
-    EXPECT_FALSE(anyCheckpointGenerationExists(path, 3));
+    EXPECT_FALSE(fileExists(checkpointStagePath(path)));
+    for (size_t g = 0; g < 3; ++g)
+        EXPECT_FALSE(fileExists(checkpointGenerationPath(path, g)));
     TrainerCursor cur;
     EXPECT_EQ(resumeFromNewestValid(path, 3, model, batcher, cur,
                                     nullptr)
@@ -680,7 +744,7 @@ TEST(CheckpointRotation, NoFilesVsAllCorruptOutcomes)
     // caller must fail loudly, never silently start fresh.
     ASSERT_TRUE(saveCheckpointRotated(
         path, payloadAtBatch(f, model, batcher, 1), 3));
-    EXPECT_TRUE(anyCheckpointGenerationExists(path, 3));
+    EXPECT_TRUE(fileExists(checkpointGenerationPath(path, 0)));
     truncateFileTo(checkpointGenerationPath(path, 0), 60);
     const ResumeScan scan =
         resumeFromNewestValid(path, 3, model, batcher, cur, nullptr);

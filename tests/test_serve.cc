@@ -269,6 +269,7 @@ TEST(Serve, SocketServerRoundTripsProtocol)
     ServeClient::ScoreResult bad_score;
     EXPECT_FALSE(range_client.score({past_end}, {nodes[0]}, bad_score));
     EXPECT_FALSE(range_client.score({nodes[0]}, {past_end}, bad_score));
+    EXPECT_TRUE(range_client.connected());
     ServeClient::EmbedResult again;
     ASSERT_TRUE(range_client.embed(nodes, again));
     EXPECT_EQ(again.rows, emb.rows);
@@ -284,6 +285,10 @@ TEST(Serve, SocketServerRoundTripsProtocol)
     EXPECT_TRUE(client2.shutdownServer());
     server.stop();
     EXPECT_FALSE(server.running());
+
+    // A dead link fails the request too, and closes the client's end.
+    EXPECT_FALSE(client2.stats(stats2));
+    EXPECT_FALSE(client2.connected());
 }
 
 TEST(Serve, SocketServerStopReturnsAfterReadersRaceForAccept)

@@ -4,11 +4,11 @@
  * the shard partition/seed primitives, the fixed-order merge, the wire
  * format, and the WorkerGroup determinism contract end to end — the
  * trajectory and final model state must be bit-identical for any
- * worker count, for the forked runtime vs. in-process replicas, across
- * a worker SIGKILL mid-epoch, and across a checkpoint resume under a
- * different worker count. The same contract, driven through the real
- * CLI with uncooperative by-PID kills, lives in tools/chaos_soak.sh
- * section 6 and the fault-matrix worker cases.
+ * worker count, across a worker SIGKILL mid-epoch, and across a
+ * checkpoint resume under a different worker count. The same
+ * contract, driven through the real CLI with uncooperative by-PID
+ * kills, lives in tools/chaos_soak.sh section 5 and the fault-matrix
+ * worker cases.
  */
 
 #include <gtest/gtest.h>
@@ -64,7 +64,7 @@ struct RunOutcome
 /** One full session run under the given worker topology. */
 RunOutcome
 runSharded(const Fixture &f, size_t workers, size_t shards,
-           bool procs, size_t epochs, uint64_t model_seed = 7,
+           size_t epochs, uint64_t model_seed = 7,
            TrainOptions base = TrainOptions{})
 {
     TgnnModel model(tgnConfig(16), f.spec.numNodes, f.data.featDim(),
@@ -79,7 +79,6 @@ runSharded(const Fixture &f, size_t workers, size_t shards,
     o.validate = false;
     o.workers = workers;
     o.shards = shards;
-    o.workerProcs = procs;
 
     RunOutcome out;
     TrainingSession session(model, f.src, f.adj, f.trainEnd, batcher,
@@ -293,14 +292,15 @@ TEST(WorkerGroup, TrajectoryInvariantAcrossWorkerCounts)
     // per-batch losses and final model state. The Cascade policy's
     // feedback loop makes this strict: one differing loss would shift
     // every later batch boundary.
-    const RunOutcome w1 = runSharded(f, 1, 4, false, 2);
-    const RunOutcome w2 = runSharded(f, 2, 4, false, 2);
-    const RunOutcome w4 = runSharded(f, 4, 4, false, 2);
+    const RunOutcome w1 = runSharded(f, 1, 4, 2);
+    const RunOutcome w2 = runSharded(f, 2, 4, 2);
+    const RunOutcome w4 = runSharded(f, 4, 4, 2);
     ASSERT_FALSE(w1.batches.empty());
     expectSameTrajectory(w1, w2);
     expectSameTrajectory(w1, w4);
     EXPECT_EQ(w2.report.workers, 2u);
     EXPECT_EQ(w2.report.shards, 4u);
+    EXPECT_EQ(w2.report.workerDeaths, 0u);
 }
 
 TEST(WorkerGroup, ShardsDefaultToWorkerCount)
@@ -309,30 +309,18 @@ TEST(WorkerGroup, ShardsDefaultToWorkerCount)
     // shards=0 resolves K to the worker count — so 2 workers at K=0
     // must equal 1 worker at K=2 (same trajectory), while K=1 is a
     // different trajectory (different slice boundaries).
-    const RunOutcome k0 = runSharded(f, 2, 0, false, 1);
-    const RunOutcome k2 = runSharded(f, 1, 2, false, 1);
-    const RunOutcome k1 = runSharded(f, 1, 1, false, 1);
+    const RunOutcome k0 = runSharded(f, 2, 0, 1);
+    const RunOutcome k2 = runSharded(f, 1, 2, 1);
+    const RunOutcome k1 = runSharded(f, 1, 1, 1);
     expectSameTrajectory(k0, k2);
     EXPECT_EQ(k0.report.shards, 2u);
     EXPECT_NE(k1.finalState, k2.finalState);
 }
 
-#ifndef _WIN32
-
-TEST(WorkerGroup, ForkedRuntimeMatchesInProcess)
-{
-    Fixture f;
-    const RunOutcome inproc = runSharded(f, 2, 4, false, 1);
-    const RunOutcome forked = runSharded(f, 2, 4, true, 1);
-    expectSameTrajectory(inproc, forked);
-    EXPECT_TRUE(forked.report.workerProcs);
-    EXPECT_EQ(forked.report.workerDeaths, 0u);
-}
-
 TEST(WorkerGroup, WorkerDeathRecoversBitIdentically)
 {
     Fixture f;
-    const RunOutcome ref = runSharded(f, 1, 4, false, 2);
+    const RunOutcome ref = runSharded(f, 1, 4, 2);
 
     // Worker rank 1 of 2 SIGKILLs itself before computing batch 3
     // (forked children inherit the armed plan across fork()). The
@@ -341,7 +329,7 @@ TEST(WorkerGroup, WorkerDeathRecoversBitIdentically)
     fault::Config fc;
     fc.workerKills.push_back({3, 1});
     FaultScope scope(fc);
-    const RunOutcome killed = runSharded(f, 2, 4, true, 2);
+    const RunOutcome killed = runSharded(f, 2, 4, 2);
 
     expectSameTrajectory(ref, killed);
     EXPECT_EQ(killed.report.workerDeaths, 1u);
@@ -352,7 +340,7 @@ TEST(WorkerGroup, WorkerDeathRecoversBitIdentically)
 TEST(WorkerGroup, AllWorkersDeadFallsBackToWorkerLocal)
 {
     Fixture f;
-    const RunOutcome ref = runSharded(f, 1, 4, false, 1);
+    const RunOutcome ref = runSharded(f, 1, 4, 1);
 
     // Both workers die: the group degrades to worker-local (the
     // master computes every shard itself) and must STILL match the
@@ -361,7 +349,7 @@ TEST(WorkerGroup, AllWorkersDeadFallsBackToWorkerLocal)
     fc.workerKills.push_back({2, 0});
     fc.workerKills.push_back({4, 1});
     FaultScope scope(fc);
-    const RunOutcome killed = runSharded(f, 2, 4, true, 1);
+    const RunOutcome killed = runSharded(f, 2, 4, 1);
 
     expectSameTrajectory(ref, killed);
     EXPECT_EQ(killed.report.workerDeaths, 2u);
@@ -372,7 +360,7 @@ TEST(WorkerGroup, ResumeUnderDifferentWorkerCount)
     Fixture f;
     const std::string ck =
         testing::TempDir() + "shard_resume_ck.bin";
-    const RunOutcome ref = runSharded(f, 1, 4, false, 2);
+    const RunOutcome ref = runSharded(f, 1, 4, 2);
 
     // Crash a 2-worker run mid-epoch, resume it with 4 forked
     // workers: checkpoints hold only the master replica, so the same
@@ -386,18 +374,16 @@ TEST(WorkerGroup, ResumeUnderDifferentWorkerCount)
         fc.crashBatch = 5;
         FaultScope scope(fc);
         const RunOutcome crashed =
-            runSharded(f, 2, 4, false, 2, 7, ck_opts);
+            runSharded(f, 2, 4, 2, 7, ck_opts);
         ASSERT_TRUE(crashed.report.interrupted);
     }
     TrainOptions resume_opts = ck_opts;
     resume_opts.resume = true;
     const RunOutcome resumed =
-        runSharded(f, 4, 4, true, 2, 7, resume_opts);
+        runSharded(f, 4, 4, 2, 7, resume_opts);
 
     EXPECT_FALSE(resumed.report.interrupted);
     // The resumed run replays only the tail, so compare final state,
     // not the (shorter) observed trajectory.
     EXPECT_EQ(resumed.finalState, ref.finalState);
 }
-
-#endif // !_WIN32

@@ -57,12 +57,11 @@ relevantInBatch(const DependencyTable &table, NodeId n, size_t st,
  * the chunk [lo, hi) whose brute-force table is `table`: e is the
  * smallest (Max_r+1)-th relevant event at or after st over the
  * non-stable nodes; the end is min(hi, e+1), or hi without such an e,
- * then raised to at least st+1 and capped at st+cap (cap 0 = none).
+ * then raised to at least st+1.
  */
 size_t
 oracleEnd(const std::vector<std::set<EventIdx>> &table, size_t st,
-          size_t hi, size_t maxr, size_t cap,
-          const std::vector<uint8_t> &stable)
+          size_t hi, size_t maxr, const std::vector<uint8_t> &stable)
 {
     size_t ed = hi;
     for (size_t n = 0; n < table.size(); ++n) {
@@ -75,10 +74,7 @@ oracleEnd(const std::vector<std::set<EventIdx>> &table, size_t st,
         std::advance(it, maxr);
         ed = std::min(ed, static_cast<size_t>(*it) + 1);
     }
-    ed = std::max(ed, st + 1);
-    if (cap > 0)
-        ed = std::min(ed, st + cap);
-    return ed;
+    return std::max(ed, st + 1);
 }
 
 } // namespace
@@ -110,37 +106,32 @@ TEST(TgDiffuser, LastTolerableEndMatchesDefinitionOracle)
             }
             for (size_t maxr : {1, 2, 4, 8}) {
                 for (bool pipeline : {false, true}) {
-                    for (size_t cap : {size_t(0), size_t(7)}) {
-                        SCOPED_TRACE(::testing::Message()
-                                     << g.spec.name << " chunk="
-                                     << chunk_size << " maxr=" << maxr
-                                     << " pipeline=" << pipeline
-                                     << " cap=" << cap);
-                        TgDiffuser::Options opts;
-                        opts.chunkSize = chunk_size;
-                        opts.pipeline = pipeline;
-                        opts.maxBatchCap = cap;
-                        TgDiffuser diffuser(seq, adj, train_end, opts);
-                        diffuser.setMaxRevisit(maxr);
-                        ASSERT_EQ(diffuser.numChunks(), bounds.size());
+                    SCOPED_TRACE(::testing::Message()
+                                 << g.spec.name << " chunk=" << chunk_size
+                                 << " maxr=" << maxr
+                                 << " pipeline=" << pipeline);
+                    TgDiffuser::Options opts;
+                    opts.chunkSize = chunk_size;
+                    opts.pipeline = pipeline;
+                    TgDiffuser diffuser(seq, adj, train_end, opts);
+                    diffuser.setMaxRevisit(maxr);
+                    ASSERT_EQ(diffuser.numChunks(), bounds.size());
 
-                        Rng draw(g.seed * 131 + maxr);
-                        std::vector<uint8_t> stable(seq.numNodes, 0);
-                        size_t st = 0, c = 0;
-                        while (st < train_end) {
-                            // A fresh stable mask for every batch.
-                            for (uint8_t &flag : stable)
-                                flag = draw.bernoulli(0.25) ? 1 : 0;
-                            while (st >= bounds[c].second)
-                                ++c;
-                            const size_t want =
-                                oracleEnd(tables[c], st, bounds[c].second,
-                                          maxr, cap, stable);
-                            const size_t ed =
-                                diffuser.lastTolerableEnd(st, stable);
-                            ASSERT_EQ(ed, want) << "batch at " << st;
-                            st = ed;
-                        }
+                    Rng draw(g.seed * 131 + maxr);
+                    std::vector<uint8_t> stable(seq.numNodes, 0);
+                    size_t st = 0, c = 0;
+                    while (st < train_end) {
+                        // A fresh stable mask for every batch.
+                        for (uint8_t &flag : stable)
+                            flag = draw.bernoulli(0.25) ? 1 : 0;
+                        while (st >= bounds[c].second)
+                            ++c;
+                        const size_t want = oracleEnd(
+                            tables[c], st, bounds[c].second, maxr, stable);
+                        const size_t ed =
+                            diffuser.lastTolerableEnd(st, stable);
+                        ASSERT_EQ(ed, want) << "batch at " << st;
+                        st = ed;
                     }
                 }
             }
@@ -292,17 +283,6 @@ TEST(TgDiffuser, AllStableRunsToChunkEnd)
     diffuser.setMaxRevisit(1);
     std::vector<uint8_t> stable(seq.numNodes, 1);
     EXPECT_EQ(diffuser.lastTolerableEnd(0, stable), seq.size());
-}
-
-TEST(TgDiffuser, MaxBatchCapIsHonored)
-{
-    EventSequence seq = figure7Sequence();
-    TemporalAdjacency adj(seq);
-    TgDiffuser::Options opts;
-    opts.maxBatchCap = 3;
-    TgDiffuser diffuser(seq, adj, seq.size(), opts);
-    diffuser.setMaxRevisit(100);
-    EXPECT_EQ(diffuser.lastTolerableEnd(0, noStable), 3u);
 }
 
 TEST(TgDiffuser, ChunksBoundBatchesAndPartition)

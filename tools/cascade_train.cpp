@@ -91,7 +91,6 @@ struct CliOptions
     size_t retryMax = 3;
     double retryBaseMs = 10.0;
     size_t workers = 1;           ///< worker shards (1 = unsharded)
-    bool workerProcs = false;     ///< fork() the workers
     size_t shards = 0;            ///< logical shard count K (0 = workers)
     size_t workerHeartbeatMs = 30000; ///< worker reply deadline
 };
@@ -146,9 +145,7 @@ declareFlags(cli::FlagSet &flags, CliOptions &o)
     flags.flagDouble("--retry-base-ms", &o.retryBaseMs, "MS",
                      "first checkpoint-write retry backoff");
     flags.flagInt("--workers", &o.workers, "N",
-                  "worker shards (1 = unsharded)");
-    flags.flagBool("--worker-procs", &o.workerProcs,
-                   "fork the workers as processes");
+                  "forked worker processes (1 = unsharded)");
     flags.flagInt("--shards", &o.shards, "K",
                   "logical shard count (0 = workers)");
     flags.flagInt("--worker-heartbeat-ms", &o.workerHeartbeatMs, "MS",
@@ -313,7 +310,6 @@ main(int argc, char **argv)
     toptions.retry.maxRetries = opts.retryMax;
     toptions.retry.baseDelayMs = opts.retryBaseMs;
     toptions.workers = opts.workers;
-    toptions.workerProcs = opts.workerProcs;
     toptions.shards = opts.shards;
     toptions.workerHeartbeatMs = opts.workerHeartbeatMs;
     if (opts.workers == 0) {
@@ -355,7 +351,7 @@ main(int argc, char **argv)
                 "wall_s=%.3f device_s=%.4f prep_s=%.4f "
                 "util=%.3f val_loss=%.4f guard_trips=%zu "
                 "retries=%zu degraded=%s "
-                "checkpointing=%s workers=%zu worker_procs=%d shards=%zu "
+                "checkpointing=%s workers=%zu shards=%zu "
                 "worker_deaths=%zu worker_rebalances=%zu "
                 "out_of_core=%d rss_peak_mb=%.1f\n",
                 opts.dataset.c_str(), opts.model.c_str(),
@@ -365,9 +361,8 @@ main(int argc, char **argv)
                 r.deviceUtilization, r.valLoss, r.guardTrips,
                 r.checkpointRetries, r.degradedMode.c_str(),
                 r.checkpointingDisabled ? "disabled" : "on", r.workers,
-                r.workerProcs ? 1 : 0, r.shards, r.workerDeaths,
-                r.workerRebalances, src->resident() ? 0 : 1,
-                peakRssMb());
+                r.shards, r.workerDeaths, r.workerRebalances,
+                src->resident() ? 0 : 1, peakRssMb());
 
     if (!opts.csvPath.empty()) {
         std::FILE *f = std::fopen(opts.csvPath.c_str(), "a");

@@ -11,7 +11,7 @@
 # comparing the surviving run against a reference run byte for byte.
 # Section 5 covers the second fault domain (DESIGN.md "Worker-level
 # fault domains"): tools/chaos_worker_kill SIGKILLs individual
-# --worker-procs workers while the supervisor stays up.
+# sharded worker processes while the supervisor stays up.
 #
 #   tools/chaos_soak.sh [build-dir]     # default: build
 #
@@ -174,7 +174,7 @@ if ! $BIN $SHARDED --workers 1 --save "$WORK/wref.model" \
         >"$WORK/wref.log" 2>&1; then
     fail worker-reference "sharded reference run failed" "$WORK/wref.log"
 else
-    $BIN $SHARDED --workers 4 --worker-procs \
+    $BIN $SHARDED --workers 4 \
         --checkpoint "$WORK/wchaos_ck.bin" \
         --save "$WORK/wchaos.model" >"$WORK/wchaos.log" 2>&1 &
     train_pid=$!

@@ -6,10 +6,10 @@
  * chaos_kill exercises whole-process death (the supervisor itself
  * dies and the next launch resumes from the checkpoint family). This
  * tool exercises the other fault domain PR 8 introduced: one *worker*
- * of a --worker-procs group dies, the supervisor stays up, detects
+ * of a sharded worker group dies, the supervisor stays up, detects
  * the loss through the broken socket or a missed heartbeat deadline,
  * folds the dead worker's shards into the survivors and finishes the
- * run with a bit-identical model. The in-process fault knob
+ * run with a bit-identical model. The built-in fault knob
  * (CASCADE_FAULT_WORKER_KILL_NTH) is cooperative — the worker kills
  * itself at a chosen batch; this tool is uncooperative: it reads the
  * supervisor's PID roster and delivers SIGKILL from a separate

@@ -148,7 +148,7 @@ WORKER_ARGS="--dataset wiki --scale 60 --epochs 2 --seed 42 \
 ./build/tools/cascade_train $WORKER_ARGS --workers 1 \
     --save "$WORKER_WORK/ref.model" >/dev/null
 CASCADE_FAULT_WORKER_KILL_NTH="5@1" \
-    ./build/tools/cascade_train $WORKER_ARGS --workers 4 --worker-procs \
+    ./build/tools/cascade_train $WORKER_ARGS --workers 4 \
     --save "$WORKER_WORK/killed.model" >"$WORKER_WORK/killed.log" 2>&1
 grep -q "worker_deaths=1 worker_rebalances=1" "$WORKER_WORK/killed.log"
 cmp "$WORKER_WORK/ref.model" "$WORKER_WORK/killed.model"

@@ -139,7 +139,7 @@ run_case older-gen-resume 0 "generation 1" older_resume.log -- -- \
 #     on the books.
 run_case worker-kill-recovers 0 "worker_deaths=1" worker_kill.log -- \
     CASCADE_FAULT_WORKER_KILL_NTH=4@1 -- \
-    $COMMON --policy cascade --workers 2 --worker-procs --shards 4
+    $COMMON --policy cascade --workers 2 --shards 4
 
 # 11. Worker hangs instead of dying: no EOF ever arrives, so only the
 #     heartbeat watchdog can notice. The stall (2s) dwarfs the
@@ -148,7 +148,7 @@ run_case worker-kill-recovers 0 "worker_deaths=1" worker_kill.log -- \
 run_case worker-hang-watchdog 0 "heartbeat deadline missed" \
     worker_hang.log -- \
     CASCADE_FAULT_WORKER_HANG_MS=3@1=2000 -- \
-    $COMMON --policy cascade --workers 2 --worker-procs --shards 4 \
+    $COMMON --policy cascade --workers 2 --shards 4 \
     --worker-heartbeat-ms 200
 
 if [ "$FAILURES" -ne 0 ]; then
