@@ -36,23 +36,28 @@ AdaptiveBatchSensor::profile(const EventSource &src,
             batches.insert(rng_.uniformInt(stats.batchCount));
     }
 
+    // Table entries are offsets from the table's range start.
+    const size_t base = table.rangeLo();
+    auto offset = [&](size_t i) {
+        return static_cast<uint32_t>(std::max(i, base) - base);
+    };
     double sum = 0.0;
     double mn = 1e30, mx = 0.0;
     for (size_t b : batches) {
         const size_t st = b * opts_.baseBatch;
         const size_t ed = std::min(n, st + opts_.baseBatch);
-        const EventIdx ist = static_cast<EventIdx>(st);
-        const EventIdx ied = static_cast<EventIdx>(ed);
+        const uint32_t rst = offset(st);
+        const uint32_t red = offset(ed);
 
         // Max over every event endpoint of its dependency-table
         // entries inside the batch window; a repeated node changes
         // nothing.
         auto endurance = [&](NodeId node) {
-            const auto &entry = table.entry(node);
+            const auto entry = table.entry(node);
             const auto lo =
-                std::lower_bound(entry.begin(), entry.end(), ist);
+                std::lower_bound(entry.begin(), entry.end(), rst);
             const auto hi =
-                std::lower_bound(entry.begin(), entry.end(), ied);
+                std::lower_bound(entry.begin(), entry.end(), red);
             return static_cast<size_t>(hi - lo);
         };
         size_t max_endurance = 0;

@@ -91,17 +91,17 @@ CascadeBatcher::saveState(ByteWriter &w) const
 {
     abs_->saveState(w);
     sgFilter_->saveState(w);
-    diffuser_->saveState(w);
     return true;
 }
 
 bool
 CascadeBatcher::loadState(ByteReader &r)
 {
-    if (!abs_->loadState(r) || !sgFilter_->loadState(r) ||
-        !diffuser_->loadState(r)) {
+    if (!abs_->loadState(r) || !sgFilter_->loadState(r))
         return false;
-    }
+    // The diffuser's lookup state is a function of the batch start,
+    // Max_r and the chunk, so the next lookup rebuilds it from its st.
+    diffuser_->resetEpoch();
     diffuser_->setMaxRevisit(abs_->currentMaxRevisit());
     return true;
 }

@@ -6,7 +6,7 @@
  *   preprocessing — TG-Diffuser builds the dependency table(s), ABS
  *   profiles Max Endurance on the preset small batch size and sets
  *   Max_r;
- *   per epoch     — SG-Filter flags reset, diffuser pointers rewind;
+ *   per epoch     — SG-Filter flags reset, diffuser position forgotten;
  *   per batch     — stable flags are fetched, the last tolerable
  *   event found (Algorithm 3), and after the model step the SG-Filter
  *   flags and the ABS loss schedule are refreshed from feedback.

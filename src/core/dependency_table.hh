@@ -8,15 +8,20 @@
  *       events with index > i (a neighbor's *future* events affect n's
  *       memory through n's next update; its past events do not).
  *
- * Tables are built in parallel over nodes and are immutable after
- * construction. The chunked variant (§4.2 "Chunk-based Optimization")
- * builds one table per range of consecutive events, truncating
- * dependencies at the chunk boundary.
+ * The table is one CSR (TGL's T-CSR layout): per-node offsets into a
+ * single exact-size array of event indices stored relative to the
+ * range start as uint32. It is built in parallel over nodes in two
+ * passes — count, then fill in place — and is immutable afterwards.
+ * The chunked variant (§4.2 "Chunk-based Optimization") builds one
+ * table per range of consecutive events, truncating dependencies at
+ * the chunk boundary.
  */
 
 #ifndef CASCADE_CORE_DEPENDENCY_TABLE_HH
 #define CASCADE_CORE_DEPENDENCY_TABLE_HH
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/adjacency.hh"
@@ -33,6 +38,7 @@ class DependencyTable
      * Build over events [lo, hi) of the sequence (Algorithm 2).
      * Neighbor future-events are truncated to < hi, which is exactly
      * the chunk-boundary rule; lo=0, hi=N gives the full table.
+     * @pre hi - lo <= UINT32_MAX
      */
     static DependencyTable build(const EventSource &src,
                                  const TemporalAdjacency &adj,
@@ -46,14 +52,19 @@ class DependencyTable
         return build(VectorEventSource(seq), adj, lo, hi);
     }
 
-    /** Sorted unique dependent-event indices of node n within range. */
-    const std::vector<EventIdx> &
+    /**
+     * Sorted unique dependent events of node n, as offsets from
+     * rangeLo() (event rangeLo() + e for each e).
+     */
+    std::span<const uint32_t>
     entry(NodeId n) const
     {
-        return entries_[static_cast<size_t>(n)];
+        const size_t i = static_cast<size_t>(n);
+        return {index_.data() + offsets_[i],
+                index_.data() + offsets_[i + 1]};
     }
 
-    size_t numNodes() const { return entries_.size(); }
+    size_t numNodes() const { return offsets_.size() - 1; }
     size_t rangeLo() const { return lo_; }
     size_t rangeHi() const { return hi_; }
 
@@ -63,11 +74,12 @@ class DependencyTable
     /** Wall-clock seconds spent building (Figure 13b accounting). */
     double buildSeconds() const { return buildSeconds_; }
 
-    /** Resident bytes (Figure 13c accounting). */
+    /** Resident bytes of offsets, index and active list (Figure 13c). */
     size_t bytes() const;
 
   private:
-    std::vector<std::vector<EventIdx>> entries_;
+    std::vector<uint64_t> offsets_ = {0}; ///< numNodes() + 1
+    std::vector<uint32_t> index_;         ///< every entry, node-major
     std::vector<NodeId> active_;
     size_t lo_ = 0;
     size_t hi_ = 0;

@@ -1,25 +1,32 @@
 #include "core/tg_diffuser.hh"
 
 #include <algorithm>
-#include <limits>
-#include <mutex>
+#include <utility>
 
 #include "obs/metrics.hh"
-#include "util/binio.hh"
 #include "util/logging.hh"
-#include "util/parallel.hh"
 #include "util/timer.hh"
 
 namespace cascade {
+namespace {
+
+/** Empty bucket / end of a bucket's list. */
+constexpr uint32_t kNoNode = UINT32_MAX;
+/** A node with at most Max_r entries left has no key. */
+constexpr uint32_t kNoKey = UINT32_MAX;
+
+} // namespace
 
 TgDiffuser::TgDiffuser(const EventSource &src,
                        const TemporalAdjacency &adj, size_t train_end,
                        Options opts)
     : src_(src), adj_(adj), trainEnd_(train_end), opts_(opts),
-      ptrs_(src.numNodes(), 0)
+      next_(src.numNodes(), kNoNode)
 {
     CASCADE_CHECK(train_end <= src.size(),
                   "TgDiffuser: train_end beyond stream");
+    CASCADE_CHECK(src.numNodes() < kNoNode,
+                  "TgDiffuser: node ids exceed uint32");
     const size_t chunk =
         opts_.chunkSize == 0 ? trainEnd_ : opts_.chunkSize;
     for (size_t lo = 0; lo < trainEnd_; lo += chunk)
@@ -47,7 +54,10 @@ TgDiffuser::~TgDiffuser()
 void
 TgDiffuser::setMaxRevisit(size_t maxr)
 {
-    maxr_ = std::max<size_t>(1, maxr);
+    maxr = std::max<size_t>(1, maxr);
+    if (maxr != maxr_)
+        cursor_ = SIZE_MAX; // every key moves
+    maxr_ = maxr;
 }
 
 void
@@ -97,10 +107,10 @@ TgDiffuser::ensureChunk(size_t c)
 void
 TgDiffuser::enterChunk(size_t c)
 {
-    const DependencyTable &table = ensureChunk(c);
+    ensureChunk(c);
     curChunk_ = c;
-    for (NodeId n : table.activeNodes())
-        ptrs_[static_cast<size_t>(n)] = 0;
+    cursor_ = SIZE_MAX;
+    head_.assign(chunkBounds_[c].second - chunkBounds_[c].first, kNoNode);
 
     // Prefetch the next chunk's table on a worker thread. A build
     // that throws is captured in the cell and surfaces at the
@@ -116,66 +126,86 @@ TgDiffuser::enterChunk(size_t c)
     }
 }
 
+uint32_t
+TgDiffuser::keyAt(const DependencyTable &table, uint32_t n,
+                  size_t st) const
+{
+    const auto entry = table.entry(static_cast<NodeId>(n));
+    const uint32_t rel = static_cast<uint32_t>(st - table.rangeLo());
+    const size_t at = static_cast<size_t>(
+        std::lower_bound(entry.begin(), entry.end(), rel) - entry.begin());
+    // A node constrains the batch only when more than Max_r relevant
+    // events remain; with fewer, every remaining event is tolerable
+    // (the "-" / MAX_INT entries of Figure 7(b)).
+    return entry.size() - at > maxr_ ? entry[at + maxr_] : kNoKey;
+}
+
+void
+TgDiffuser::enqueue(uint32_t n, uint32_t key)
+{
+    if (key == kNoKey)
+        return;
+    next_[n] = head_[key];
+    head_[key] = n;
+}
+
 size_t
 TgDiffuser::lastTolerableEnd(size_t st, const std::vector<uint8_t> &stable)
 {
     CASCADE_CHECK(st < trainEnd_, "lastTolerableEnd: st out of range");
     Timer timer;
 
-    // Advance the chunk cursor to the one containing st.
-    size_t c = curChunk_ == SIZE_MAX ? 0 : curChunk_;
-    while (c + 1 < chunkBounds_.size() && st >= chunkBounds_[c].second)
-        ++c;
+    const size_t c = opts_.chunkSize == 0 ? 0 : st / opts_.chunkSize;
     if (c != curChunk_)
         enterChunk(c);
     const DependencyTable &table = *tables_[c];
+    const size_t lo = chunkBounds_[c].first;
     const size_t chunk_hi = chunkBounds_[c].second;
-
-    // Loop-parallel min-reduction over active nodes (Algorithm 3).
-    const auto &active = table.activeNodes();
-    constexpr EventIdx kMax = std::numeric_limits<EventIdx>::max();
-    EventIdx best = kMax;
-    AnnotatedMutex merge; // serializes the per-chunk min merges
-    parallelForChunks(0, active.size(), [&](size_t lo, size_t hi) {
-        EventIdx local = kMax;
-        for (size_t i = lo; i < hi; ++i) {
-            const NodeId n = active[i];
-            if (!stable.empty() &&
-                stable[static_cast<size_t>(n)]) {
-                continue; // SG-Filter: stable nodes pose no barrier
-            }
-            const auto &entry = table.entry(n);
-            const size_t ptr = ptrs_[static_cast<size_t>(n)];
-            // A node constrains the batch only when more than Max_r
-            // relevant events remain; with fewer, every remaining
-            // event is tolerable (the "-" / MAX_INT entries of
-            // Figure 7(b)).
-            if (ptr + maxr_ >= entry.size())
-                continue;
-            local = std::min(local, entry[ptr + maxr_]);
+    if (st != cursor_) {
+        std::fill(head_.begin(), head_.end(), kNoNode);
+        for (NodeId n : table.activeNodes()) {
+            const uint32_t id = static_cast<uint32_t>(n);
+            enqueue(id, keyAt(table, id, st));
         }
-        LockGuard lock(merge);
-        best = std::min(best, local);
-    }, 512);
+    }
 
-    // The boundary event itself belongs to the batch (Figure 7(b):
-    // the batch's last event *is* the first intolerable one).
-    size_t ed = best == kMax
-        ? chunk_hi
-        : std::min(chunk_hi, static_cast<size_t>(best) + 1);
-    ed = std::max(ed, st + 1);
-    ed = std::min(ed, chunk_hi);
+    // Walk the buckets up from st. Every queued key is >= st and at
+    // most the node's exact key at st, so the first bucket holding a
+    // non-stable node whose exact key is that bucket is the minimum;
+    // nodes met with a larger key move forward. SG-Filter's stable
+    // nodes pose no barrier: they wait in passed_ for a re-key.
+    size_t ed = chunk_hi;
+    for (size_t b = st - lo; b < head_.size() && ed == chunk_hi; ++b) {
+        uint32_t n = std::exchange(head_[b], kNoNode);
+        while (n != kNoNode) {
+            const uint32_t following = next_[n];
+            const uint32_t key = keyAt(table, n, st);
+            if (key != b) {
+                enqueue(n, key);
+            } else if (stable.empty() || !stable[n]) {
+                // The boundary event itself belongs to the batch
+                // (Figure 7(b): the batch's last event *is* the first
+                // intolerable one). The rest of the bucket is passed.
+                ed = lo + b + 1;
+                for (; n != kNoNode; n = next_[n])
+                    passed_.push_back(n);
+                break;
+            } else {
+                passed_.push_back(n);
+            }
+            n = following;
+        }
+    }
     CASCADE_CHECK(ed > st, "lastTolerableEnd made no progress");
 
-    // Advance every node's pointer past the batch's events.
-    const EventIdx edi = static_cast<EventIdx>(ed);
-    parallelFor(0, active.size(), [&](size_t i) {
-        const NodeId n = active[i];
-        const auto &entry = table.entry(n);
-        size_t &ptr = ptrs_[static_cast<size_t>(n)];
-        while (ptr < entry.size() && entry[ptr] < edi)
-            ++ptr;
-    }, 512);
+    // Every passed node has its exact key in [st, ed); re-key them at
+    // ed so the queue holds for the batch that starts there.
+    if (ed < chunk_hi) {
+        for (uint32_t n : passed_)
+            enqueue(n, keyAt(table, n, ed));
+    }
+    passed_.clear();
+    cursor_ = ed;
 
     const double dt = timer.seconds();
     lookupSeconds_ += dt;
@@ -188,46 +218,7 @@ void
 TgDiffuser::resetEpoch()
 {
     curChunk_ = SIZE_MAX;
-    std::fill(ptrs_.begin(), ptrs_.end(), 0);
-}
-
-void
-TgDiffuser::saveState(ByteWriter &w) const
-{
-    w.u64(curChunk_ == SIZE_MAX ? UINT64_MAX
-                                : static_cast<uint64_t>(curChunk_));
-    w.u64(maxr_);
-    w.u64(ptrs_.size());
-    if (!ptrs_.empty())
-        w.bytes(ptrs_.data(), ptrs_.size() * sizeof(size_t));
-}
-
-bool
-TgDiffuser::loadState(ByteReader &r)
-{
-    uint64_t chunk = 0, maxr = 0, n = 0;
-    if (!r.u64(chunk) || !r.u64(maxr) || !r.u64(n) ||
-        n != ptrs_.size()) {
-        return false;
-    }
-    if (chunk != UINT64_MAX && chunk >= chunkBounds_.size())
-        return false;
-    std::vector<size_t> ptrs(static_cast<size_t>(n), 0);
-    if (!ptrs.empty() &&
-        !r.bytes(ptrs.data(), ptrs.size() * sizeof(size_t))) {
-        return false;
-    }
-    maxr_ = std::max<uint64_t>(1, maxr);
-    if (chunk == UINT64_MAX) {
-        resetEpoch();
-    } else {
-        // enterChunk builds the table (and prefetches the next) and
-        // zeroes the active pointers; the saved cursors then replace
-        // them so the batch-boundary search resumes mid-epoch.
-        enterChunk(static_cast<size_t>(chunk));
-    }
-    ptrs_ = std::move(ptrs);
-    return true;
+    cursor_ = SIZE_MAX;
 }
 
 size_t

@@ -2,11 +2,21 @@
  * @file
  * Topology-Aware Graph Diffuser (§4.2).
  *
- * Owns the dependency table(s) and per-node event pointers and answers
- * the runtime question "how far may the next batch extend?" via
- * Algorithm 3: each non-stable node tolerates at most Max_r relevant
- * events before it must be refreshed; the batch boundary is the
- * minimum last-tolerable event across nodes (inclusive).
+ * Owns the dependency table(s) and answers the runtime question "how
+ * far may the next batch extend?" via Algorithm 3: each non-stable
+ * node tolerates at most Max_r relevant events before it must be
+ * refreshed; the batch boundary is the minimum last-tolerable event
+ * across nodes (inclusive).
+ *
+ * The lookup is incremental. Node n's key at batch start st is its
+ * (Max_r+1)-th relevant event at or after st,
+ * D[n][lower_bound(D[n], st) + Max_r]; keys only grow as st advances.
+ * A bucket queue with one bucket per event of the chunk holds every
+ * keyed node under a lower bound of its key, so a lookup walks the
+ * buckets up from st, re-keys only the nodes it meets and stops at
+ * the first non-stable node whose key is exact. The queue is a
+ * function of (st, Max_r, chunk) alone; any other st or Max_r re-keys
+ * every active node once, so nothing about it is checkpointed.
  *
  * With a nonzero chunk size the event range is split into consecutive
  * chunks whose tables are built independently (dependencies truncated
@@ -29,9 +39,6 @@
 #include "util/queue.hh"
 
 namespace cascade {
-
-class ByteWriter;
-class ByteReader;
 
 namespace obs {
 class MetricsRegistry;
@@ -77,14 +84,19 @@ class TgDiffuser
     size_t maxRevisit() const { return maxr_; }
 
     /**
-     * Algorithm 3: exclusive end of the batch starting at st.
+     * Algorithm 3: exclusive end of the batch starting at st. Any st
+     * is accepted — the next one, an earlier one (rollback), one in
+     * another chunk — and the flags may change freely between calls.
      * @param stable per-node stable flags (empty = none stable)
-     * @post st < result <= trainEnd, result <= current chunk end
+     * @post st < result <= trainEnd, result <= the end of st's chunk
      */
     size_t lastTolerableEnd(size_t st,
                             const std::vector<uint8_t> &stable);
 
-    /** Rewind pointers/chunk cursor for a new epoch. */
+    /**
+     * Forget the batch position (new epoch, restored state): the next
+     * lookup re-keys every active node at its st.
+     */
     void resetEpoch();
 
     /** Table building seconds; pipelined builds charge only stalls. */
@@ -115,19 +127,6 @@ class TgDiffuser
         return c < tables_.size() ? tables_[c].get() : nullptr;
     }
 
-    /**
-     * Serialize the mid-epoch position: Max_r, current chunk and the
-     * per-node event pointers (Algorithm 3's cursors).
-     */
-    void saveState(ByteWriter &w) const;
-
-    /**
-     * Restore a position written by saveState, rebuilding the active
-     * chunk's table if needed.
-     * @return false on node-count mismatch or short payload
-     */
-    bool loadState(ByteReader &r);
-
   private:
     /**
      * Table for chunk c, building or waiting as needed. A failed
@@ -138,8 +137,15 @@ class TgDiffuser
      */
     const DependencyTable &ensureChunk(size_t c);
 
-    /** Enter chunk c: reset pointers, prefetch c+1. */
+    /** Enter chunk c: size its queue, prefetch c+1. */
     void enterChunk(size_t c);
+
+    /** Node n's key at st as an offset into the chunk, or none. */
+    uint32_t keyAt(const DependencyTable &table, uint32_t n,
+                   size_t st) const;
+
+    /** Queue node n in bucket `key` (a node without one is dropped). */
+    void enqueue(uint32_t n, uint32_t key);
 
     /** Adapter-owning delegate for the EventSequence convenience
      *  constructor: the wrapper must live as long as src_. */
@@ -167,7 +173,14 @@ class TgDiffuser
     size_t pendingChunk_ = SIZE_MAX;
 
     size_t curChunk_ = SIZE_MAX;
-    std::vector<size_t> ptrs_; ///< per-node entry cursor
+    /** The st the queue is keyed at; SIZE_MAX = not keyed. */
+    size_t cursor_ = SIZE_MAX;
+    /** First node of each bucket (event offset in the chunk). */
+    std::vector<uint32_t> head_;
+    /** Next node in the same bucket, per node. */
+    std::vector<uint32_t> next_;
+    /** Lookup scratch: nodes to re-key at the batch end. */
+    std::vector<uint32_t> passed_;
 
     double prepSeconds_ = 0.0;
     double lookupSeconds_ = 0.0;

@@ -10,7 +10,7 @@ namespace cascade {
 namespace {
 
 constexpr uint32_t kMagic = 0x4353434b; // "CSCK"
-constexpr uint32_t kVersion = 3;
+constexpr uint32_t kVersion = 4;
 
 } // namespace
 
@@ -64,9 +64,14 @@ decodeCheckpoint(const std::string &payload, TgnnModel &model,
         CASCADE_LOG("checkpoint: payload too short for header");
         return false;
     }
-    if (magic != kMagic || version != kVersion) {
-        CASCADE_LOG("checkpoint: bad magic/version %08x/%u", magic,
-                    version);
+    if (magic != kMagic) {
+        CASCADE_LOG("checkpoint: bad magic %08x", magic);
+        return false;
+    }
+    if (version != kVersion) {
+        CASCADE_LOG("checkpoint: unsupported format version %u (this "
+                    "build reads only v%u; there is no converter)",
+                    version, kVersion);
         return false;
     }
 

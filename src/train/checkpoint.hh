@@ -6,7 +6,8 @@
  * resume needs: model parameters, Adam moments, the model RNG, node
  * memory and mailbox (TgnnModel::saveTrainingState), the batching
  * policy's adaptive state (Batcher::saveState — for Cascade that is
- * the ABS schedule, SG-Filter flags and TG-Diffuser cursors) and the
+ * the ABS schedule and SG-Filter flags; the TG-Diffuser's lookup state
+ * is rebuilt from the batch start) and the
  * trainer's own cursor (epoch, batch position, running loss sums and
  * finished-epoch stats). Restarting from a checkpoint replays the
  * exact trajectory the uninterrupted run would have taken; only
@@ -16,7 +17,7 @@
  * On-disk framing (written through util/binio.hh, so the file also
  * carries a CRC32 footer and is committed atomically):
  *
- *   u32 magic "CSCK"   u32 version
+ *   u32 magic "CSCK"   u32 version (4; other versions are refused)
  *   cursor: u64 epoch, st, batchIndex, globalBatch, totalBatches,
  *           totalEvents, epochEvents; f64 lossSum
  *   u64 #completed epochs, then per epoch the EpochStats fields

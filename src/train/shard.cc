@@ -239,11 +239,8 @@ WorkerGroup::workerMain(size_t rank, int fd)
             reply.u32(kRspAck);
             break;
         case kCmdSync: {
-            std::string blob;
-            if (!r.str(blob))
-                ::_exit(2);
-            ByteReader br(blob);
-            if (!master_.loadTrainingState(br))
+            ByteReader state(nullptr, 0);
+            if (!r.sub(state) || !master_.loadTrainingState(state))
                 ::_exit(2);
             reply.u32(kRspAck);
             break;
@@ -305,7 +302,6 @@ WorkerGroup::runBatch(uint64_t globalBatch, size_t st, size_t ed)
 {
     CASCADE_CHECK(started_ && !shutdown_,
                   "WorkerGroup: runBatch outside start()/shutdown()");
-    Timer t;
     const auto assign = shardAssignment();
 
     // Dispatch compute to every alive worker with work; a failed send
@@ -391,6 +387,8 @@ WorkerGroup::runBatch(uint64_t globalBatch, size_t st, size_t ed)
     if (localShards > 0 && metrics_)
         metrics_->counter("worker.local_shards").add(localShards);
 
+    // `worker.merge_seconds` covers merge, broadcast and apply only.
+    Timer merge;
     MergedUpdate update = mergeShardResults(std::move(results));
 
     // Broadcast the merged update; every surviving replica applies
@@ -422,7 +420,8 @@ WorkerGroup::runBatch(uint64_t globalBatch, size_t st, size_t ed)
     master_.recordStepMetrics(r);
     if (metrics_) {
         metrics_->counter("worker.batches").add(1);
-        metrics_->histogram("worker.merge_seconds").record(t.seconds());
+        metrics_->histogram("worker.merge_seconds")
+            .record(merge.seconds());
     }
     return r;
 }
@@ -434,11 +433,14 @@ WorkerGroup::resyncReplicas()
         return;
     if (metrics_)
         metrics_->counter("worker.resyncs").add(1);
-    ByteWriter blob;
-    master_.saveTrainingState(blob);
+    // The state goes length-prefixed like ByteWriter::str, but encoded
+    // in place: reserve the length, write the state, patch the length.
     ByteWriter w;
     w.u32(kCmdSync);
-    w.str(blob.buffer());
+    const size_t at = w.size();
+    w.u64(0);
+    master_.saveTrainingState(w);
+    w.patchU64(at, w.size() - at - sizeof(uint64_t));
     for (size_t rank = 0; rank < options_.workers; ++rank) {
         if (!procs_[rank].alive)
             continue;

@@ -5,6 +5,9 @@
  * The paper parallelizes dependency-table building and last-tolerable-
  * event lookup with OpenMP; we provide an equivalent parallelFor built
  * on std::thread so the library has no compiler-extension dependency.
+ * The table build runs on this pool; the lookup does not, since it is
+ * incremental and touches only the few nodes it re-keys per batch
+ * (core/tg_diffuser.hh).
  */
 
 #ifndef CASCADE_UTIL_PARALLEL_HH

@@ -2,7 +2,8 @@
  * @file
  * Brute-force Algorithm 2 reference shared by the dependency-table
  * and TG-Diffuser tests: the dependency table built straight from its
- * definition, with no adjacency index and no pruning.
+ * definition, with no adjacency index and no pruning. Also the one
+ * helper through which those tests read a built table's entries.
  */
 
 #ifndef CASCADE_TESTS_DEPENDENCY_ORACLE_HH
@@ -11,9 +12,21 @@
 #include <set>
 #include <vector>
 
+#include "core/dependency_table.hh"
 #include "graph/event.hh"
 
 namespace cascade {
+
+/** Entry of node n as absolute event indices (the table stores
+ *  offsets from its range start). */
+inline std::vector<EventIdx>
+absoluteEntry(const DependencyTable &table, NodeId n)
+{
+    std::vector<EventIdx> out;
+    for (uint32_t e : table.entry(n))
+        out.push_back(static_cast<EventIdx>(table.rangeLo() + e));
+    return out;
+}
 
 /**
  * Relevant events of every node within [lo, hi), O(N * E^2): node n's

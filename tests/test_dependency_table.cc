@@ -48,7 +48,7 @@ TEST(DependencyTable, MatchesBruteForceOnSyntheticGraphs)
             DependencyTable::build(seq, adj, 0, seq.size());
         auto ref = bruteForceTable(seq, 0, seq.size());
         for (size_t n = 0; n < seq.numNodes; ++n) {
-            const auto &entry = table.entry(static_cast<NodeId>(n));
+            const auto entry = absoluteEntry(table, static_cast<NodeId>(n));
             std::vector<EventIdx> expect(ref[n].begin(), ref[n].end());
             ASSERT_EQ(entry, expect) << "node " << n;
         }
@@ -65,7 +65,7 @@ TEST(DependencyTable, MatchesBruteForceOnSubRange)
     DependencyTable table = DependencyTable::build(seq, adj, lo, hi);
     auto ref = bruteForceTable(seq, lo, hi);
     for (size_t n = 0; n < seq.numNodes; ++n) {
-        const auto &entry = table.entry(static_cast<NodeId>(n));
+        const auto entry = absoluteEntry(table, static_cast<NodeId>(n));
         std::vector<EventIdx> expect(ref[n].begin(), ref[n].end());
         ASSERT_EQ(entry, expect) << "node " << n;
     }
@@ -79,20 +79,20 @@ TEST(DependencyTable, ReproducesFigure7Example)
         DependencyTable::build(seq, adj, 0, seq.size());
 
     // Figure 7(a) right-hand side, node 1: {0,1,2,3,8,9,10,11}.
-    EXPECT_EQ(table.entry(1),
+    EXPECT_EQ(absoluteEntry(table, 1),
               (std::vector<EventIdx>{0, 1, 2, 3, 8, 9, 10, 11}));
     // Node 2: {0,1,2,3,8,9,10} — connected to node 1 at event 0, so
     // it inherits node 1's later events but not e11 (node 3's).
-    EXPECT_EQ(table.entry(2),
+    EXPECT_EQ(absoluteEntry(table, 2),
               (std::vector<EventIdx>{0, 1, 2, 3, 8, 9, 10}));
     // Node 3: {8,9,10,11}.
-    EXPECT_EQ(table.entry(3), (std::vector<EventIdx>{8, 9, 10, 11}));
+    EXPECT_EQ(absoluteEntry(table, 3), (std::vector<EventIdx>{8, 9, 10, 11}));
     // Node 4: {7,11}.
-    EXPECT_EQ(table.entry(4), (std::vector<EventIdx>{7, 11}));
+    EXPECT_EQ(absoluteEntry(table, 4), (std::vector<EventIdx>{7, 11}));
     // Node a (=10): {4,5,6,7,11}.
-    EXPECT_EQ(table.entry(10), (std::vector<EventIdx>{4, 5, 6, 7, 11}));
+    EXPECT_EQ(absoluteEntry(table, 10), (std::vector<EventIdx>{4, 5, 6, 7, 11}));
     // Node d (=13): {6,7}.
-    EXPECT_EQ(table.entry(13), (std::vector<EventIdx>{6, 7}));
+    EXPECT_EQ(absoluteEntry(table, 13), (std::vector<EventIdx>{6, 7}));
 }
 
 TEST(DependencyTable, EntriesSortedUniqueInRange)
@@ -104,7 +104,7 @@ TEST(DependencyTable, EntriesSortedUniqueInRange)
     const size_t hi = seq.size() / 2;
     DependencyTable table = DependencyTable::build(seq, adj, 0, hi);
     for (size_t n = 0; n < seq.numNodes; ++n) {
-        const auto &entry = table.entry(static_cast<NodeId>(n));
+        const auto entry = absoluteEntry(table, static_cast<NodeId>(n));
         for (size_t i = 1; i < entry.size(); ++i)
             ASSERT_LT(entry[i - 1], entry[i]);
         for (EventIdx e : entry)
@@ -122,7 +122,7 @@ TEST(DependencyTable, ActiveNodesAreExactlyNonEmptyEntries)
                             table.activeNodes().end());
     for (size_t n = 0; n < seq.numNodes; ++n) {
         EXPECT_EQ(active.count(static_cast<NodeId>(n)) == 1,
-                  !table.entry(static_cast<NodeId>(n)).empty());
+                  !absoluteEntry(table, static_cast<NodeId>(n)).empty());
     }
     EXPECT_FALSE(active.count(0)); // node 0 has no events
 }
@@ -136,8 +136,8 @@ TEST(DependencyTable, OwnEventsAlwaysPresent)
     DependencyTable table =
         DependencyTable::build(seq, adj, 0, seq.size());
     for (size_t i = 0; i < seq.size(); ++i) {
-        const auto &se = table.entry(seq.events[i].src);
-        const auto &de = table.entry(seq.events[i].dst);
+        const auto se = absoluteEntry(table, seq.events[i].src);
+        const auto de = absoluteEntry(table, seq.events[i].dst);
         ASSERT_TRUE(std::binary_search(se.begin(), se.end(),
                                        static_cast<EventIdx>(i)));
         ASSERT_TRUE(std::binary_search(de.begin(), de.end(),
@@ -160,7 +160,7 @@ TEST(DependencyTable, ChunkedTablesCoverTheFullTableWithinChunks)
                                                 2 * chunk);
     for (size_t n = 0; n < seq.numNodes; ++n) {
         std::vector<EventIdx> expect;
-        for (EventIdx e : full.entry(static_cast<NodeId>(n))) {
+        for (EventIdx e : absoluteEntry(full, static_cast<NodeId>(n))) {
             if (e >= static_cast<EventIdx>(chunk) &&
                 e < static_cast<EventIdx>(2 * chunk)) {
                 expect.push_back(e);
@@ -171,11 +171,32 @@ TEST(DependencyTable, ChunkedTablesCoverTheFullTableWithinChunks)
         // within-chunk dependency is also a full-table dependency.
         // It may contain *fewer* cross-boundary inherited events —
         // but never ones the full table lacks.
-        for (EventIdx e : c1.entry(static_cast<NodeId>(n))) {
+        for (EventIdx e : absoluteEntry(c1, static_cast<NodeId>(n))) {
             ASSERT_TRUE(std::binary_search(expect.begin(), expect.end(),
                                            e))
                 << "node " << n << " event " << e;
         }
+    }
+}
+
+TEST(DependencyTable, BytesAreExact)
+{
+    // One u32 per entry, one u64 offset per node plus one, one NodeId
+    // per active node: no per-node headers and no capacity slack.
+    DatasetSpec spec = wikiSpec(400.0);
+    Rng rng(8);
+    EventSequence seq = generateDataset(spec, rng);
+    TemporalAdjacency adj(seq);
+    for (size_t lo : {size_t(0), seq.size() / 3}) {
+        DependencyTable table =
+            DependencyTable::build(seq, adj, lo, seq.size());
+        size_t entries = 0;
+        for (size_t n = 0; n < seq.numNodes; ++n)
+            entries += table.entry(static_cast<NodeId>(n)).size();
+        ASSERT_GT(entries, 0u);
+        EXPECT_EQ(table.bytes(),
+                  4 * entries + 8 * (seq.numNodes + 1) +
+                      sizeof(NodeId) * table.activeNodes().size());
     }
 }
 

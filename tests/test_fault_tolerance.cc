@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -61,11 +62,12 @@ freshModel(const Fixture &f, uint64_t seed = 7)
 }
 
 CascadeBatcher
-freshCascade(const Fixture &f)
+freshCascade(const Fixture &f, size_t chunkSize = 0)
 {
     CascadeBatcher::Options copts;
     copts.baseBatch = f.spec.baseBatch;
     copts.seed = 11;
+    copts.chunkSize = chunkSize;
     return CascadeBatcher(f.src, f.adj, f.trainEnd, copts);
 }
 
@@ -214,11 +216,11 @@ TEST(Checkpoint, PayloadLayoutIsUnchanged)
     }
     ASSERT_EQ(cur.batchIndex, 3u);
 
-    // The CSCK v3 layout written field by field, each state blob from
+    // The CSCK v4 layout written field by field, each state blob from
     // its own writer and appended as a length-prefixed string.
     ByteWriter want;
     want.u32(0x4353434b); // "CSCK"
-    want.u32(3);
+    want.u32(4);
     for (uint64_t v : {cur.epoch, cur.st, cur.batchIndex, cur.globalBatch,
                        cur.totalBatches, cur.totalEvents, cur.epochEvents})
         want.u64(v);
@@ -240,6 +242,40 @@ TEST(Checkpoint, PayloadLayoutIsUnchanged)
     want.str(model_bytes.buffer());
 
     EXPECT_EQ(encodeCheckpoint(model, batcher, cur), want.buffer());
+}
+
+TEST(Checkpoint, CascadeBatcherSectionIsUnderTwoBytesPerNode)
+{
+    // ABS plus one SG-Filter flag per node: the diffuser writes
+    // nothing, since its lookup state is rebuilt from the batch start.
+    DatasetSpec spec = wikiTalkSpec(2000.0);
+    Rng rng(5);
+    const EventSequence seq = generateDataset(spec, rng);
+    ASSERT_GE(seq.numNodes, 1000u);
+    const VectorEventSource src(seq);
+    const TemporalAdjacency adj(seq);
+    CascadeBatcher::Options copts;
+    copts.baseBatch = spec.baseBatch;
+    CascadeBatcher batcher(src, adj, seq.size() * 4 / 5, copts);
+    batcher.next(0);
+    ByteWriter w;
+    ASSERT_TRUE(batcher.saveState(w));
+    EXPECT_LT(w.size(), 2 * seq.numNodes);
+}
+
+TEST(Checkpoint, OtherFormatVersionIsRefused)
+{
+    Fixture f(400.0);
+    TgnnModel model = freshModel(f);
+    CascadeBatcher batcher = freshCascade(f);
+    TrainerCursor cur;
+    std::string payload = encodeCheckpoint(model, batcher, cur);
+    TrainerCursor out;
+    ASSERT_TRUE(decodeCheckpoint(payload, model, batcher, out));
+    // Bytes 4..7 hold the little-endian version; v3 carried the
+    // diffuser's per-node cursors and has no converter.
+    payload[4] = 3;
+    EXPECT_FALSE(decodeCheckpoint(payload, model, batcher, out));
 }
 
 TEST(Checkpoint, CorruptOrMismatchedPayloadLeavesTargetsUntouched)
@@ -373,47 +409,68 @@ TEST(FaultTolerance, CrashAndResumeIsBitIdenticalCascade)
     const std::string path = tmpPath("ckpt_cascade.bin");
     fault::reset();
 
-    TgnnModel ref = freshModel(f);
-    CascadeBatcher rb = freshCascade(f);
-    TrainReport want = trainModel(ref, f.src, f.adj, f.trainEnd, rb,
-                                  baseOptions(f));
-    ASSERT_GE(want.totalBatches, 4u);
+    // Unchunked Cascade, then Cascade_EX with three chunks: a resumed
+    // run re-derives the chunk and the lookup state from its st.
+    for (size_t chunk : {size_t(0), f.trainEnd / 3}) {
+        SCOPED_TRACE("chunkSize " + std::to_string(chunk));
+        TgnnModel ref = freshModel(f);
+        CascadeBatcher rb = freshCascade(f, chunk);
+        std::vector<BatchRecord> seen;
+        TrainReport want;
+        {
+            TrainingSession session(ref, f.src, f.adj, f.trainEnd, rb,
+                                    baseOptions(f));
+            session.setBatchObserver(
+                [&](const BatchRecord &rec) { seen.push_back(rec); });
+            want = session.run();
+        }
+        ASSERT_GE(want.totalBatches, 4u);
 
-    TrainOptions copts = baseOptions(f);
-    copts.checkpointPath = path;
-    copts.checkpointEvery = 1;
-    TgnnModel crashed = freshModel(f);
-    CascadeBatcher cb = freshCascade(f);
-    {
-        fault::Config fc;
-        fc.crashBatch =
-            static_cast<long>(want.totalBatches / 2);
-        FaultScope scope(fc);
-        TrainReport r = trainModel(crashed, f.src, f.adj, f.trainEnd,
-                                   cb, copts);
-        ASSERT_TRUE(r.interrupted);
+        // Crash mid-way through the second epoch, which for the
+        // chunked run is past its first chunk.
+        auto crash = std::find_if(seen.begin(), seen.end(),
+                                  [&](const BatchRecord &rec) {
+                                      return rec.epoch == 1 &&
+                                          rec.st >= f.trainEnd / 2;
+                                  });
+        ASSERT_NE(crash, seen.end());
+        EXPECT_GE(crash->st, chunk);
+
+        TrainOptions copts = baseOptions(f);
+        copts.checkpointPath = path;
+        copts.checkpointEvery = 1;
+        TgnnModel crashed = freshModel(f);
+        CascadeBatcher cb = freshCascade(f, chunk);
+        {
+            fault::Config fc;
+            fc.crashBatch = static_cast<long>(crash->globalBatch);
+            FaultScope scope(fc);
+            TrainReport r = trainModel(crashed, f.src, f.adj, f.trainEnd,
+                                       cb, copts);
+            ASSERT_TRUE(r.interrupted);
+        }
+
+        TrainOptions ropts = copts;
+        ropts.resume = true;
+        TgnnModel resumed = freshModel(f);
+        CascadeBatcher nb = freshCascade(f, chunk);
+        TrainReport got = trainModel(resumed, f.src, f.adj, f.trainEnd,
+                                     nb, ropts);
+        EXPECT_TRUE(got.resumed);
+
+        // The adaptive policy's schedule (ABS decays, SG-Filter flags,
+        // the diffuser's chunk and keys) must resume exactly too, or
+        // the batch boundaries — and with them every loss — drift.
+        EXPECT_EQ(got.valLoss, want.valLoss);
+        ASSERT_EQ(got.epochs.size(), want.epochs.size());
+        for (size_t e = 0; e < want.epochs.size(); ++e) {
+            EXPECT_EQ(got.epochs[e].trainLoss, want.epochs[e].trainLoss);
+            EXPECT_EQ(got.epochs[e].batches, want.epochs[e].batches);
+            EXPECT_EQ(got.epochs[e].avgBatchSize,
+                      want.epochs[e].avgBatchSize);
+        }
+        EXPECT_EQ(got.totalBatches, want.totalBatches);
     }
-
-    TrainOptions ropts = copts;
-    ropts.resume = true;
-    TgnnModel resumed = freshModel(f);
-    CascadeBatcher nb = freshCascade(f);
-    TrainReport got = trainModel(resumed, f.src, f.adj, f.trainEnd,
-                                 nb, ropts);
-    EXPECT_TRUE(got.resumed);
-
-    // The adaptive policy's schedule (ABS decays, SG-Filter flags,
-    // diffuser cursors) must resume exactly too, or the batch
-    // boundaries — and with them every loss — drift.
-    EXPECT_EQ(got.valLoss, want.valLoss);
-    ASSERT_EQ(got.epochs.size(), want.epochs.size());
-    for (size_t e = 0; e < want.epochs.size(); ++e) {
-        EXPECT_EQ(got.epochs[e].trainLoss, want.epochs[e].trainLoss);
-        EXPECT_EQ(got.epochs[e].batches, want.epochs[e].batches);
-        EXPECT_EQ(got.epochs[e].avgBatchSize,
-                  want.epochs[e].avgBatchSize);
-    }
-    EXPECT_EQ(got.totalBatches, want.totalBatches);
 }
 
 TEST(FaultTolerance, NanInjectionRollsBackAndRecovers)

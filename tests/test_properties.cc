@@ -13,6 +13,7 @@
 #include <unordered_set>
 
 #include "core/cascade_batcher.hh"
+#include "dependency_oracle.hh"
 #include "graph/dataset.hh"
 #include "train/batcher.hh"
 
@@ -148,7 +149,7 @@ TEST_P(EveryDataset, CascadeEnduranceInvariantEverywhere)
     while (st < n) {
         const size_t ed = diffuser.lastTolerableEnd(st, no_stable);
         for (NodeId node : table.activeNodes()) {
-            const auto &entry = table.entry(node);
+            const auto entry = absoluteEntry(table, node);
             const auto lo = std::lower_bound(
                 entry.begin(), entry.end(),
                 static_cast<EventIdx>(st));

@@ -59,6 +59,8 @@ struct RunOutcome
     std::vector<TrajBatch> batches;
     std::string finalState; ///< saveTrainingState blob
     TrainReport report;
+    uint64_t resyncs = 0;         ///< `worker.resyncs`
+    double mergeSecondsMax = 0.0; ///< `worker.merge_seconds` max
 };
 
 /** One full session run under the given worker topology. */
@@ -87,6 +89,9 @@ runSharded(const Fixture &f, size_t workers, size_t shards,
         out.batches.push_back({rec.st, rec.ed, rec.loss});
     });
     out.report = session.run();
+    out.resyncs = session.metrics().counter("worker.resyncs").value();
+    out.mergeSecondsMax =
+        session.metrics().histogram("worker.merge_seconds").max();
     ByteWriter w;
     model.saveTrainingState(w);
     out.finalState = w.buffer();
@@ -353,6 +358,56 @@ TEST(WorkerGroup, AllWorkersDeadFallsBackToWorkerLocal)
 
     expectSameTrajectory(ref, killed);
     EXPECT_EQ(killed.report.workerDeaths, 2u);
+}
+
+TEST(WorkerGroup, RollbackResyncKeepsReplicasInStep)
+{
+    Fixture f;
+    // A NaN loss at batch 3 rolls the master back to its last
+    // snapshot, and the resync must carry that restored state to
+    // every replica. The reference is the worker-local run (its only
+    // worker dies at batch 0), where the master computes every shard
+    // from its own state; replicas left stale would compute the
+    // batches after the rollback from the wrong memory.
+    fault::Config fc;
+    fc.nanBatch = 3;
+    RunOutcome w1, w2, local;
+    {
+        FaultScope scope(fc);
+        w1 = runSharded(f, 1, 4, 2);
+    }
+    {
+        FaultScope scope(fc);
+        w2 = runSharded(f, 2, 4, 2);
+    }
+    fc.workerKills.push_back({0, 0});
+    {
+        FaultScope scope(fc);
+        local = runSharded(f, 1, 4, 2);
+    }
+    ASSERT_EQ(local.report.workerDeaths, 1u);
+    expectSameTrajectory(local, w1);
+    expectSameTrajectory(local, w2);
+    for (const RunOutcome *run : {&w1, &w2}) {
+        EXPECT_EQ(run->report.workerDeaths, 0u);
+        EXPECT_EQ(run->resyncs, 1u);
+    }
+}
+
+TEST(WorkerGroup, MergeSecondsTimesOnlyTheMerge)
+{
+    Fixture f;
+    // Rank 1 stalls 300 ms before replying to batch 2, far inside the
+    // 30 s heartbeat. That wait belongs to the batch, not the merge.
+    fault::Config fc;
+    fc.workerHangBatch = 2;
+    fc.workerHangRank = 1;
+    fc.hangMs = 300.0;
+    FaultScope scope(fc);
+    const RunOutcome out = runSharded(f, 2, 4, 1);
+    EXPECT_EQ(out.report.workerDeaths, 0u);
+    EXPECT_GT(out.mergeSecondsMax, 0.0);
+    EXPECT_LT(out.mergeSecondsMax, 0.15);
 }
 
 TEST(WorkerGroup, ResumeUnderDifferentWorkerCount)

@@ -1,7 +1,8 @@
 /**
  * @file
  * TG-Diffuser tests (Algorithm 3): batch-by-batch agreement with a
- * definition-level oracle over the brute-force table, progress/
+ * definition-level oracle over the brute-force table (also under Max_r
+ * changes and backward jumps), progress/
  * partition guarantees, the Max_r endurance invariant, stable-node
  * bypass, the Figure 7(b)/8(b) worked examples, chunk capping and
  * epoch reset.
@@ -44,7 +45,7 @@ size_t
 relevantInBatch(const DependencyTable &table, NodeId n, size_t st,
                 size_t ed)
 {
-    const auto &e = table.entry(n);
+    const auto e = absoluteEntry(table, n);
     const auto lo = std::lower_bound(e.begin(), e.end(),
                                      static_cast<EventIdx>(st));
     const auto hi = std::lower_bound(e.begin(), e.end(),
@@ -137,6 +138,86 @@ TEST(TgDiffuser, LastTolerableEndMatchesDefinitionOracle)
             }
         }
     }
+}
+
+TEST(TgDiffuser, LastTolerableEndMatchesOracleAcrossMaxrChangesAndJumps)
+{
+    // The incremental lookup against the same oracle, with the calls
+    // a live run makes besides "the next batch": ABS redrawing Max_r
+    // (~20% of batches) and rollbacks jumping back to an earlier
+    // batch start (~10%), into an earlier chunk too.
+    struct Graph
+    {
+        DatasetSpec spec;
+        uint64_t seed;
+    };
+    const Graph graphs[] = {{wikiSpec(300.0), 1},
+                            {redditSpec(800.0), 2},
+                            {moocSpec(600.0), 3}};
+    size_t cross_chunk_jumps = 0;
+    for (const Graph &g : graphs) {
+        Rng gen(g.seed);
+        const EventSequence seq = generateDataset(g.spec, gen);
+        const TemporalAdjacency adj(seq);
+        const size_t train_end = seq.size() * 4 / 5;
+        for (size_t chunk_size : {size_t(0), train_end / 5}) {
+            const size_t span = chunk_size == 0 ? train_end : chunk_size;
+            std::vector<std::pair<size_t, size_t>> bounds;
+            std::vector<std::vector<std::set<EventIdx>>> tables;
+            for (size_t lo = 0; lo < train_end; lo += span) {
+                bounds.emplace_back(lo, std::min(train_end, lo + span));
+                tables.push_back(
+                    bruteForceTable(seq, lo, bounds.back().second));
+            }
+            auto chunkOf = [&](size_t st) {
+                size_t c = 0;
+                while (st >= bounds[c].second)
+                    ++c;
+                return c;
+            };
+            for (bool pipeline : {false, true}) {
+                SCOPED_TRACE(::testing::Message()
+                             << g.spec.name << " chunk=" << chunk_size
+                             << " pipeline=" << pipeline);
+                TgDiffuser::Options opts;
+                opts.chunkSize = chunk_size;
+                opts.pipeline = pipeline;
+                TgDiffuser diffuser(seq, adj, train_end, opts);
+
+                Rng draw(g.seed * 977 + chunk_size + pipeline);
+                size_t maxr = 1 + draw.uniformInt(8);
+                diffuser.setMaxRevisit(maxr);
+                std::vector<uint8_t> stable(seq.numNodes, 0);
+                std::vector<size_t> starts;
+                size_t st = 0;
+                while (st < train_end) {
+                    if (draw.bernoulli(0.2)) {
+                        maxr = 1 + draw.uniformInt(8);
+                        diffuser.setMaxRevisit(maxr);
+                    }
+                    if (!starts.empty() && draw.bernoulli(0.1)) {
+                        const size_t back = 1 + draw.uniformInt(
+                            std::min<size_t>(8, starts.size()));
+                        const size_t to = starts[starts.size() - back];
+                        cross_chunk_jumps += chunkOf(to) != chunkOf(st);
+                        st = to;
+                    }
+                    for (uint8_t &flag : stable)
+                        flag = draw.bernoulli(0.25) ? 1 : 0;
+                    const size_t c = chunkOf(st);
+                    const size_t want = oracleEnd(
+                        tables[c], st, bounds[c].second, maxr, stable);
+                    const size_t ed =
+                        diffuser.lastTolerableEnd(st, stable);
+                    ASSERT_EQ(ed, want)
+                        << "batch at " << st << " maxr " << maxr;
+                    starts.push_back(st);
+                    st = ed;
+                }
+            }
+        }
+    }
+    EXPECT_GT(cross_chunk_jumps, 0u);
 }
 
 TEST(TgDiffuser, Figure7WorkedExample)

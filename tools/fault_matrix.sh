@@ -74,6 +74,26 @@ run_case crash-resume 0 "degraded=none" resume.log -- -- \
     $COMMON --policy cascade --checkpoint "$WORK/ck_crash.bin" \
     --checkpoint-every 1 --resume
 
+# 2b. The same under chunked Cascade_EX (4 chunks of ~109 training
+#     events): the crash after batch 14 (ending at event 351) lies in
+#     chunk 3, so the resume re-derives a later chunk and its lookup
+#     state from the restored batch start. The resumed model must be
+#     byte-identical to an uninterrupted run's.
+run_case ex-uninterrupted 0 "degraded=none" ex_ref.log -- -- \
+    $COMMON --policy cascade-ex --save "$WORK/ex_ref.model"
+run_case crash-ex 3 "rerun with --resume" crash_ex.log -- \
+    CASCADE_FAULT_CRASH_BATCH=14 -- \
+    $COMMON --policy cascade-ex --checkpoint "$WORK/ck_crash_ex.bin" \
+    --checkpoint-every 1
+run_case crash-resume-ex 0 "resumed at epoch 0 batch 15" resume_ex.log -- -- \
+    $COMMON --policy cascade-ex --checkpoint "$WORK/ck_crash_ex.bin" \
+    --checkpoint-every 1 --resume --save "$WORK/ex_resumed.model"
+if ! cmp -s "$WORK/ex_ref.model" "$WORK/ex_resumed.model"; then
+    echo "FAIL [crash-resume-ex]: resumed model differs from the" \
+        "uninterrupted run" >&2
+    FAILURES=$((FAILURES + 1))
+fi
+
 # 3. Injected NaN loss: guard trips, rollback recovers, run completes.
 run_case nan-rollback 0 "guard_trips=1" nan.log -- \
     CASCADE_FAULT_NAN_BATCH=2 -- \
