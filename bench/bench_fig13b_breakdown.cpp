@@ -7,9 +7,10 @@
  * (paper: ~16%), training dominates overall (§5.4).
  *
  * The phase times come from the training session's metrics registry:
- * the `stage.lookup.seconds` / `stage.model.seconds` histograms and
- * the `diffuser.preprocess_seconds` gauge, i.e. the same instruments
- * `cascade_train --metrics-out` dumps.
+ * the `stage.boundary.seconds` / `stage.model.seconds` histograms and
+ * the `batcher.preprocess_seconds` gauge (table building plus ABS
+ * profiling), i.e. the same instruments `cascade_train --metrics-out`
+ * dumps. The boundary stage times the Algorithm 3 lookup call.
  */
 
 #include <cstdio>
@@ -39,11 +40,11 @@ main()
             runPolicy(*ds, model, Policy::Cascade, cfg, ovr, &metrics);
 
             const obs::Histogram *lookup =
-                metrics.findHistogram("stage.lookup.seconds");
+                metrics.findHistogram("stage.boundary.seconds");
             const obs::Histogram *train =
                 metrics.findHistogram("stage.model.seconds");
             const obs::Gauge *prep =
-                metrics.findGauge("diffuser.preprocess_seconds");
+                metrics.findGauge("batcher.preprocess_seconds");
             const double lookup_s = lookup ? lookup->sum() : 0.0;
             const double train_s = train ? train->sum() : 0.0;
             const double prep_s = prep ? prep->value() : 0.0;

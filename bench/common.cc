@@ -134,7 +134,6 @@ runPolicy(DatasetHandle &ds, const std::string &model_name, Policy policy,
             copts.chunkSize = ovr.chunkSize
                 ? ovr.chunkSize
                 : std::max<size_t>(1, ds.trainEnd / 4);
-            copts.pipeline = true;
         }
         batcher = std::make_unique<CascadeBatcher>(
             ds.src, ds.adj, ds.trainEnd, copts);

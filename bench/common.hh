@@ -120,8 +120,9 @@ struct RunOverrides
 
 /**
  * One full training run of a model under a policy. Pass a registry to
- * additionally collect the session's per-stage histograms and
- * component instruments (`stage.*.seconds`, `diffuser.*`, ...).
+ * additionally collect the session's per-stage histograms and the
+ * component state it publishes at the end of the run
+ * (`stage.*.seconds`, `batcher.*`, ...).
  */
 TrainReport runPolicy(DatasetHandle &ds, const std::string &model_name,
                       Policy policy, const BenchConfig &cfg,

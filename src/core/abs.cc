@@ -4,7 +4,6 @@
 #include <cmath>
 #include <set>
 
-#include "obs/metrics.hh"
 #include "util/binio.hh"
 #include "util/logging.hh"
 
@@ -92,7 +91,6 @@ AdaptiveBatchSensor::setStats(const EnduranceStats &stats)
     bestLoss_ = 1e30;
     sinceImprovement_ = 0;
     sinceDecision_ = 0;
-    publishGauges();
 }
 
 size_t
@@ -110,33 +108,6 @@ AdaptiveBatchSensor::tightenCeiling()
 {
     ceilingScale_ = std::max(0.05, ceilingScale_ * 0.5);
     maxr_ = clampMaxr(static_cast<double>(maxr_));
-    publishGauges();
-}
-
-void
-AdaptiveBatchSensor::bindMetrics(obs::MetricsRegistry &registry)
-{
-    decaysCtr_ = &registry.counter("abs.decays");
-    maxrGauge_ = &registry.gauge("abs.maxr");
-    ceilingGauge_ = &registry.gauge("abs.ceiling_scale");
-    publishGauges();
-}
-
-void
-AdaptiveBatchSensor::unbindMetrics()
-{
-    decaysCtr_ = nullptr;
-    maxrGauge_ = nullptr;
-    ceilingGauge_ = nullptr;
-}
-
-void
-AdaptiveBatchSensor::publishGauges()
-{
-    if (maxrGauge_)
-        maxrGauge_->set(static_cast<double>(maxr_));
-    if (ceilingGauge_)
-        ceilingGauge_->set(ceilingScale_);
 }
 
 void
@@ -169,9 +140,6 @@ AdaptiveBatchSensor::recomputeFromSchedule()
     }
     maxr_ = clampMaxr(v);
     ++decays_;
-    if (decaysCtr_)
-        decaysCtr_->add(1);
-    publishGauges();
 }
 
 void
@@ -200,7 +168,6 @@ AdaptiveBatchSensor::resetEpoch()
     bestLoss_ = 1e30;
     sinceImprovement_ = 0;
     sinceDecision_ = 0;
-    publishGauges();
 }
 
 void

@@ -34,12 +34,6 @@ namespace cascade {
 class ByteWriter;
 class ByteReader;
 
-namespace obs {
-class MetricsRegistry;
-class Counter;
-class Gauge;
-}
-
 /** Profiled endurance statistics (Figure 9). */
 struct EnduranceStats
 {
@@ -126,16 +120,6 @@ class AdaptiveBatchSensor
     /** Current ceiling multiplier in (0, 1]; 1 = never tightened. */
     double ceilingScale() const { return ceilingScale_; }
 
-    /**
-     * Publish the Max_r schedule as named instruments (`abs.maxr` /
-     * `abs.ceiling_scale` gauges, `abs.decays` counter). decayCount()
-     * and currentMaxRevisit() stay as views.
-     */
-    void bindMetrics(obs::MetricsRegistry &registry);
-
-    /** Drop the bound instruments (registry about to go away). */
-    void unbindMetrics();
-
     /** Serialize schedule position, stats and RNG (checkpointing). */
     void saveState(ByteWriter &w) const;
 
@@ -148,7 +132,6 @@ class AdaptiveBatchSensor
   private:
     size_t clampMaxr(double v) const;
     void recomputeFromSchedule();
-    void publishGauges();
 
     Options opts_;
     Rng rng_;
@@ -161,11 +144,6 @@ class AdaptiveBatchSensor
     size_t sinceImprovement_ = 0;
     size_t sinceDecision_ = 0;
     size_t decays_ = 0;
-
-    /** Bound instruments (null until bindMetrics). */
-    obs::Counter *decaysCtr_ = nullptr;
-    obs::Gauge *maxrGauge_ = nullptr;
-    obs::Gauge *ceilingGauge_ = nullptr;
 };
 
 } // namespace cascade

@@ -1,6 +1,5 @@
 #include "core/cascade_batcher.hh"
 
-#include "obs/metrics.hh"
 #include "util/binio.hh"
 #include "util/logging.hh"
 #include "util/timer.hh"
@@ -14,7 +13,6 @@ CascadeBatcher::CascadeBatcher(const EventSource &src,
 {
     TgDiffuser::Options dopts;
     dopts.chunkSize = opts.chunkSize;
-    dopts.pipeline = opts.pipeline;
     diffuser_ =
         std::make_unique<TgDiffuser>(src, adj, train_end, dopts);
 
@@ -104,26 +102,6 @@ CascadeBatcher::loadState(ByteReader &r)
     diffuser_->resetEpoch();
     diffuser_->setMaxRevisit(abs_->currentMaxRevisit());
     return true;
-}
-
-void
-CascadeBatcher::bindMetrics(obs::MetricsRegistry &registry)
-{
-    diffuser_->bindMetrics(registry);
-    if (opts_.enableSgFilter)
-        sgFilter_->bindMetrics(registry);
-    abs_->bindMetrics(registry);
-    registry.gauge("batcher.profile_seconds").set(profileSeconds_);
-    registry.gauge("batcher.state_bytes")
-        .set(static_cast<double>(stateBytes()));
-}
-
-void
-CascadeBatcher::unbindMetrics()
-{
-    diffuser_->unbindMetrics();
-    sgFilter_->unbindMetrics();
-    abs_->unbindMetrics();
 }
 
 void

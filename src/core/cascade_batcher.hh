@@ -12,8 +12,13 @@
  *   flags and the ABS loss schedule are refreshed from feedback.
  *
  * Configurations: `enableSgFilter=false` gives the paper's Cascade-TB
- * ablation (§5.3); `chunkSize>0` plus `pipeline` gives Cascade_EX
- * (§5.5).
+ * ablation (§5.3); `chunkSize>0` gives Cascade_EX (§5.5), whose next
+ * chunk's table always builds while the current chunk trains.
+ *
+ * The batcher and its components hold no metrics instruments: their
+ * accessors (preprocessSeconds, stateBytes, diffuser(), sgFilter(),
+ * abs()) are read by the TrainingSession, which publishes them at the
+ * end of a run, and by the benchmarks and tests.
  */
 
 #ifndef CASCADE_CORE_CASCADE_BATCHER_HH
@@ -40,10 +45,8 @@ class CascadeBatcher : public Batcher
         bool enableSgFilter = true;
         /** θ_sim similarity threshold (§5.3 sweeps it). */
         double simThreshold = 0.9;
-        /** Chunked preprocessing; 0 = single table. */
+        /** Chunked preprocessing (Cascade_EX); 0 = single table. */
         size_t chunkSize = 0;
-        /** Overlap chunk table building with training (Cascade_EX). */
-        bool pipeline = true;
         /** ABS Max_r decay schedule (ablation hook). */
         DecaySchedule decaySchedule = DecaySchedule::Logarithmic;
         /** ABS Max_r initialization factor (ablation hook). */
@@ -71,24 +74,12 @@ class CascadeBatcher : public Batcher
     /** Rollback: halve the ABS Max_r ceiling before retrying. */
     void onNumericRollback() override;
 
-    /** Bind the diffuser/filter/sensor instruments into `registry`. */
-    void bindMetrics(obs::MetricsRegistry &registry) override;
-    /** Drop the bound instruments (registry about to go away). */
-    void unbindMetrics() override;
-
     /** @name Component access (benchmarks and tests) */
     /** @{ */
     const TgDiffuser &diffuser() const { return *diffuser_; }
     const SgFilter &sgFilter() const { return *sgFilter_; }
     const AdaptiveBatchSensor &abs() const { return *abs_; }
     /** @} */
-
-    /** Accumulated Algorithm 3 lookup seconds (Figure 13b). */
-    double
-    lookupSeconds() const override
-    {
-        return diffuser_->lookupSeconds();
-    }
 
     /** Fraction of stable memory updates this epoch (Figure 5). */
     double

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hh"
 #include "util/binio.hh"
 #include "util/logging.hh"
 
@@ -26,15 +25,12 @@ SgFilter::update(std::span<const NodeId> nodes, std::span<const double> cos)
 {
     CASCADE_CHECK(nodes.size() == cos.size(),
                   "SgFilter::update size mismatch");
-    size_t stable_updates = 0;
     for (size_t i = 0; i < nodes.size(); ++i) {
         const size_t n = static_cast<size_t>(nodes[i]);
         const bool stable = cos[i] > threshold_;
         ++updatesTotal_;
-        if (stable) {
+        if (stable)
             ++updatesStable_;
-            ++stable_updates;
-        }
         if (stable && !flags_[n]) {
             flags_[n] = 1;
             ++stableCount_;
@@ -43,29 +39,6 @@ SgFilter::update(std::span<const NodeId> nodes, std::span<const double> cos)
             --stableCount_;
         }
     }
-    if (updatesTotalCtr_)
-        updatesTotalCtr_->add(nodes.size());
-    if (updatesStableCtr_)
-        updatesStableCtr_->add(stable_updates);
-    if (stableNodesGauge_)
-        stableNodesGauge_->set(static_cast<double>(stableCount_));
-}
-
-void
-SgFilter::bindMetrics(obs::MetricsRegistry &registry)
-{
-    updatesTotalCtr_ = &registry.counter("sgfilter.updates.total");
-    updatesStableCtr_ = &registry.counter("sgfilter.updates.stable");
-    stableNodesGauge_ = &registry.gauge("sgfilter.stable_nodes");
-    stableNodesGauge_->set(static_cast<double>(stableCount_));
-}
-
-void
-SgFilter::unbindMetrics()
-{
-    updatesTotalCtr_ = nullptr;
-    updatesStableCtr_ = nullptr;
-    stableNodesGauge_ = nullptr;
 }
 
 double

@@ -24,12 +24,6 @@ namespace cascade {
 class ByteWriter;
 class ByteReader;
 
-namespace obs {
-class MetricsRegistry;
-class Counter;
-class Gauge;
-}
-
 /** Tracks per-node memory-stability flags. */
 class SgFilter
 {
@@ -78,16 +72,6 @@ class SgFilter
     /** Resident bytes of the flag array (Figure 13c's "SF"). */
     size_t bytes() const { return flags_.size() * sizeof(uint8_t); }
 
-    /**
-     * Publish the stable-update tallies as named instruments
-     * (`sgfilter.updates.*` counters, `sgfilter.stable_nodes` gauge).
-     * stableUpdateRatio()/stableCount() stay as views.
-     */
-    void bindMetrics(obs::MetricsRegistry &registry);
-
-    /** Drop the bound instruments (registry about to go away). */
-    void unbindMetrics();
-
     /** Serialize flags and epoch counters (checkpointing). */
     void saveState(ByteWriter &w) const;
 
@@ -103,11 +87,6 @@ class SgFilter
     size_t stableCount_ = 0;
     size_t updatesTotal_ = 0;
     size_t updatesStable_ = 0;
-
-    /** Bound instruments (null until bindMetrics). */
-    obs::Counter *updatesTotalCtr_ = nullptr;
-    obs::Counter *updatesStableCtr_ = nullptr;
-    obs::Gauge *stableNodesGauge_ = nullptr;
 };
 
 } // namespace cascade

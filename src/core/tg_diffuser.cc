@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.hh"
 #include "util/logging.hh"
 #include "util/timer.hh"
 
@@ -33,14 +32,10 @@ TgDiffuser::TgDiffuser(const EventSource &src,
         chunkBounds_.emplace_back(lo, std::min(trainEnd_, lo + chunk));
     if (chunkBounds_.empty())
         chunkBounds_.emplace_back(0, 0);
-    tables_.resize(chunkBounds_.size());
 
     // The first table always builds up front (nothing to overlap
     // with); its cost is charged as preprocessing either way.
-    Timer t;
-    tables_[0] = std::make_unique<DependencyTable>(DependencyTable::build(
-        src_, adj_, chunkBounds_[0].first, chunkBounds_[0].second));
-    prepSeconds_ += t.seconds();
+    loadTable(0);
 }
 
 TgDiffuser::~TgDiffuser()
@@ -61,62 +56,41 @@ TgDiffuser::setMaxRevisit(size_t maxr)
 }
 
 void
-TgDiffuser::bindMetrics(obs::MetricsRegistry &registry)
+TgDiffuser::loadTable(size_t c)
 {
-    lookupHist_ = &registry.histogram("stage.lookup.seconds");
-    prepGauge_ = &registry.gauge("diffuser.preprocess_seconds");
-    tableBytesGauge_ = &registry.gauge("diffuser.table_bytes");
-    prepGauge_->set(prepSeconds_);
-    tableBytesGauge_->set(static_cast<double>(tableBytes()));
-}
-
-void
-TgDiffuser::unbindMetrics()
-{
-    lookupHist_ = nullptr;
-    prepGauge_ = nullptr;
-    tableBytesGauge_ = nullptr;
-}
-
-const DependencyTable &
-TgDiffuser::ensureChunk(size_t c)
-{
-    CASCADE_CHECK(c < tables_.size(), "ensureChunk: bad chunk");
-    if (tables_[c])
-        return *tables_[c];
+    CASCADE_CHECK(c < chunkBounds_.size(), "loadTable: bad chunk");
+    // Release first, so at most the prefetch and one table coexist.
+    table_.reset();
+    tableChunk_ = SIZE_MAX;
     Timer t;
     if (pendingChunk_ == c && pending_.active()) {
         // Pipelined build in flight: only the stall is preprocessing.
         // The slot is released before collect(), so a failed prefetch
         // leaves no stale pending state behind.
         pendingChunk_ = SIZE_MAX;
-        tables_[c] = pending_.collect();
+        table_ = pending_.collect();
     } else {
-        tables_[c] = std::make_unique<DependencyTable>(
+        table_ = std::make_unique<DependencyTable>(
             DependencyTable::build(src_, adj_, chunkBounds_[c].first,
                                    chunkBounds_[c].second));
     }
+    tableChunk_ = c;
     prepSeconds_ += t.seconds();
-    if (prepGauge_)
-        prepGauge_->set(prepSeconds_);
-    if (tableBytesGauge_)
-        tableBytesGauge_->set(static_cast<double>(tableBytes()));
-    return *tables_[c];
 }
 
 void
 TgDiffuser::enterChunk(size_t c)
 {
-    ensureChunk(c);
+    if (tableChunk_ != c)
+        loadTable(c);
     curChunk_ = c;
     cursor_ = SIZE_MAX;
     head_.assign(chunkBounds_[c].second - chunkBounds_[c].first, kNoNode);
 
     // Prefetch the next chunk's table on a worker thread. A build
     // that throws is captured in the cell and surfaces at the
-    // consuming ensureChunk, never on the worker.
-    if (opts_.pipeline && c + 1 < tables_.size() && !tables_[c + 1] &&
-        pendingChunk_ == SIZE_MAX) {
+    // consuming loadTable, never on the worker.
+    if (c + 1 < chunkBounds_.size() && pendingChunk_ == SIZE_MAX) {
         const auto [lo, hi] = chunkBounds_[c + 1];
         pendingChunk_ = c + 1;
         pending_.launch([this, lo, hi] {
@@ -153,12 +127,11 @@ size_t
 TgDiffuser::lastTolerableEnd(size_t st, const std::vector<uint8_t> &stable)
 {
     CASCADE_CHECK(st < trainEnd_, "lastTolerableEnd: st out of range");
-    Timer timer;
 
     const size_t c = opts_.chunkSize == 0 ? 0 : st / opts_.chunkSize;
     if (c != curChunk_)
         enterChunk(c);
-    const DependencyTable &table = *tables_[c];
+    const DependencyTable &table = *table_;
     const size_t lo = chunkBounds_[c].first;
     const size_t chunk_hi = chunkBounds_[c].second;
     if (st != cursor_) {
@@ -206,11 +179,6 @@ TgDiffuser::lastTolerableEnd(size_t st, const std::vector<uint8_t> &stable)
     }
     passed_.clear();
     cursor_ = ed;
-
-    const double dt = timer.seconds();
-    lookupSeconds_ += dt;
-    if (lookupHist_)
-        lookupHist_->record(dt);
     return ed;
 }
 
@@ -219,17 +187,6 @@ TgDiffuser::resetEpoch()
 {
     curChunk_ = SIZE_MAX;
     cursor_ = SIZE_MAX;
-}
-
-size_t
-TgDiffuser::tableBytes() const
-{
-    size_t b = 0;
-    for (const auto &t : tables_) {
-        if (t)
-            b += t->bytes();
-    }
-    return b;
 }
 
 } // namespace cascade

@@ -20,11 +20,16 @@
  *
  * With a nonzero chunk size the event range is split into consecutive
  * chunks whose tables are built independently (dependencies truncated
- * at chunk boundaries) and optionally *pipelined*: chunk k+1's table
- * builds on a worker thread while chunk k trains, so only the stall
- * time is charged as preprocessing (§4.2, evaluated as Cascade_EX in
- * §5.5). The build is deterministic, so nothing retries it: a
- * prefetch that throws rethrows at the lookup that needs its table.
+ * at chunk boundaries) and *pipelined*: chunk k+1's table builds on a
+ * worker thread while chunk k trains, so only the stall time is
+ * charged as preprocessing (§4.2, evaluated as Cascade_EX in §5.5).
+ * At most two tables exist at once: the resident one and the
+ * prefetch in flight. Entering a chunk releases the resident table
+ * before taking the prefetched one or building its own, so a
+ * rollback or resume into another chunk, and chunk 0 at the start of
+ * every epoch after the first, build synchronously (charged as
+ * preprocessing). The build is deterministic, so nothing retries it:
+ * a prefetch that throws rethrows at the lookup that needs its table.
  */
 
 #ifndef CASCADE_CORE_TG_DIFFUSER_HH
@@ -40,12 +45,6 @@
 
 namespace cascade {
 
-namespace obs {
-class MetricsRegistry;
-class Histogram;
-class Gauge;
-}
-
 /** Adaptive batch-boundary search over the dependency table. */
 class TgDiffuser
 {
@@ -54,8 +53,6 @@ class TgDiffuser
     {
         /** Events per chunk; 0 = one table over everything. */
         size_t chunkSize = 0;
-        /** Overlap next-chunk table building with training. */
-        bool pipeline = true;
     };
 
     /**
@@ -102,42 +99,30 @@ class TgDiffuser
     /** Table building seconds; pipelined builds charge only stalls. */
     double preprocessSeconds() const { return prepSeconds_; }
 
-    /** Accumulated Algorithm 3 lookup seconds. */
-    double lookupSeconds() const { return lookupSeconds_; }
-
-    /**
-     * Publish lookup/preprocess measurements as named instruments
-     * (`stage.lookup.seconds` histogram, `diffuser.*` gauges). The
-     * accessors above remain views over the same numbers.
-     */
-    void bindMetrics(obs::MetricsRegistry &registry);
-
-    /** Drop the bound instruments (registry about to go away). */
-    void unbindMetrics();
-
-    /** Dependency-table bytes across built chunks (Figure 13c). */
-    size_t tableBytes() const;
+    /** Bytes of the resident dependency table (Figure 13c). */
+    size_t tableBytes() const { return table_ ? table_->bytes() : 0; }
 
     size_t numChunks() const { return chunkBounds_.size(); }
 
-    /** Already-built table for chunk c, or nullptr. */
+    /** The resident table if it covers chunk c, else nullptr. */
     const DependencyTable *
     table(size_t c) const
     {
-        return c < tables_.size() ? tables_[c].get() : nullptr;
+        return c == tableChunk_ ? table_.get() : nullptr;
     }
 
   private:
     /**
-     * Table for chunk c, building or waiting as needed. A failed
+     * Make chunk c's table the resident one: release the old table,
+     * then take the prefetch (if it is chunk c's) or build. A failed
      * build — thrown by the prefetch worker (surfacing here through
-     * the AsyncCell) or by a synchronous build — caches no table,
-     * leaves no pending state and propagates to the caller (the
-     * session's boundary stage).
+     * the AsyncCell) or by a synchronous build — leaves no table and
+     * no pending state and propagates to the caller (the session's
+     * boundary stage).
      */
-    const DependencyTable &ensureChunk(size_t c);
+    void loadTable(size_t c);
 
-    /** Enter chunk c: size its queue, prefetch c+1. */
+    /** Enter chunk c: load its table, size its queue, prefetch c+1. */
     void enterChunk(size_t c);
 
     /** Node n's key at st as an offset into the chunk, or none. */
@@ -166,12 +151,15 @@ class TgDiffuser
 
     /** chunkBounds_[c] = {lo, hi} of chunk c. */
     std::vector<std::pair<size_t, size_t>> chunkBounds_;
-    std::vector<std::unique_ptr<DependencyTable>> tables_;
+    /** The resident table and its chunk (SIZE_MAX = none). */
+    std::unique_ptr<DependencyTable> table_;
+    size_t tableChunk_ = SIZE_MAX;
     /** One-shot prefetch slot (util/queue.hh): chunk k+1's table
      *  builds on its worker while chunk k trains. */
     AsyncCell<std::unique_ptr<DependencyTable>> pending_;
     size_t pendingChunk_ = SIZE_MAX;
 
+    /** The chunk the queue is sized for; SIZE_MAX = none. */
     size_t curChunk_ = SIZE_MAX;
     /** The st the queue is keyed at; SIZE_MAX = not keyed. */
     size_t cursor_ = SIZE_MAX;
@@ -183,12 +171,6 @@ class TgDiffuser
     std::vector<uint32_t> passed_;
 
     double prepSeconds_ = 0.0;
-    double lookupSeconds_ = 0.0;
-
-    /** Bound instruments (null until bindMetrics). */
-    obs::Histogram *lookupHist_ = nullptr;
-    obs::Gauge *prepGauge_ = nullptr;
-    obs::Gauge *tableBytesGauge_ = nullptr;
 };
 
 } // namespace cascade

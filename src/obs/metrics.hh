@@ -3,14 +3,17 @@
  * Unified metrics layer: named counters, gauges and histograms behind
  * one registry.
  *
- * Every subsystem that used to keep a bespoke accumulator (the
- * TG-Diffuser's lookup seconds, the SG-Filter's stable-update tallies,
- * the numeric guard's trip count, the device model's charge totals)
- * registers a named instrument here instead; the old accessors remain
- * as thin views over the same measurements. The TrainingSession reads
- * the registry back to assemble its TrainReport, the CLI dumps it with
+ * A TrainingSession owns one registry and is its only writer of run
+ * facts: it records stage seconds and batch counts as they happen and
+ * publishes the components' end-of-run state (guard trips, device
+ * utilization, batcher and model sizes, kernel counters) once after
+ * the eval stage. The components keep their own tallies and accessors
+ * and hold no instruments. The session reads its TrainReport back out
+ * of the registry, one instrument per field; the CLI dumps it with
  * --metrics-out, and the benchmarks read per-stage histograms rather
- * than re-deriving breakdowns from summed report fields.
+ * than re-deriving breakdowns from summed report fields. Each fact
+ * has one name; an instrument that exists only once its event
+ * happened (a retry, a worker death) reads as zero when absent.
  *
  * Threading model: instrument creation takes the registry mutex;
  * recording on an instrument is lock-free (counters/gauges) or takes a
@@ -45,7 +48,7 @@ class Counter
     std::atomic<uint64_t> v_{0};
 };
 
-/** Last-write-wins scalar (utilization, Max_r, state bytes). */
+/** Last-write-wins scalar (utilization, state bytes). */
 class Gauge
 {
   public:

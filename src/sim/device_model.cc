@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hh"
 #include "util/logging.hh"
 
 namespace cascade {
@@ -37,30 +36,7 @@ DeviceModel::charge(size_t events, size_t work_rows,
     ++batches_;
     rows_ += work_rows;
     laneSlots_ += waves * params_.lanes;
-    if (batchHist_)
-        batchHist_->record(t);
-    if (batchesCtr_)
-        batchesCtr_->add(1);
-    if (utilizationGauge_)
-        utilizationGauge_->set(utilization());
     return t;
-}
-
-void
-DeviceModel::bindMetrics(obs::MetricsRegistry &registry)
-{
-    batchHist_ = &registry.histogram("device.batch_seconds");
-    utilizationGauge_ = &registry.gauge("device.utilization");
-    batchesCtr_ = &registry.counter("device.batches");
-    utilizationGauge_->set(utilization());
-}
-
-void
-DeviceModel::unbindMetrics()
-{
-    batchHist_ = nullptr;
-    utilizationGauge_ = nullptr;
-    batchesCtr_ = nullptr;
 }
 
 double

@@ -36,13 +36,6 @@
 
 namespace cascade {
 
-namespace obs {
-class MetricsRegistry;
-class Counter;
-class Gauge;
-class Histogram;
-}
-
 /** Tunable constants of the device cost model. */
 struct DeviceParams
 {
@@ -92,28 +85,12 @@ class DeviceModel
 
     const DeviceParams &params() const { return params_; }
 
-    /**
-     * Publish modeled-time measurements as named instruments
-     * (`device.batch_seconds` histogram, `device.utilization` gauge,
-     * `device.batches` counter). totalSeconds()/utilization() stay
-     * as views.
-     */
-    void bindMetrics(obs::MetricsRegistry &registry);
-
-    /** Drop the bound instruments (registry about to go away). */
-    void unbindMetrics();
-
   private:
     DeviceParams params_;
     double total_ = 0.0;
     size_t batches_ = 0;
     size_t rows_ = 0;
     size_t laneSlots_ = 0;
-
-    /** Bound instruments (null until bindMetrics). */
-    obs::Histogram *batchHist_ = nullptr;
-    obs::Gauge *utilizationGauge_ = nullptr;
-    obs::Counter *batchesCtr_ = nullptr;
 };
 
 } // namespace cascade

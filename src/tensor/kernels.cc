@@ -19,7 +19,6 @@
 #include <cstring>
 #include <vector>
 
-#include "obs/metrics.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
 #include "util/thread_annotations.hh"
@@ -41,24 +40,10 @@ std::atomic<uint64_t> poolReturns{0};
 std::atomic<uint64_t> poolEvictions{0};
 std::atomic<uint64_t> poolCachedBytes{0};
 
-struct BoundInstruments
-{
-    std::atomic<obs::Counter *> gemmCalls{nullptr};
-    std::atomic<obs::Counter *> gemmFlops{nullptr};
-    std::atomic<obs::Counter *> elementwiseCalls{nullptr};
-    std::atomic<obs::Counter *> poolHits{nullptr};
-    std::atomic<obs::Counter *> poolMisses{nullptr};
-};
-
-BoundInstruments bound;
-
 inline void
-bump(std::atomic<uint64_t> &local, std::atomic<obs::Counter *> &ctr,
-     uint64_t n = 1)
+bump(std::atomic<uint64_t> &counter, uint64_t n = 1)
 {
-    local.fetch_add(n, std::memory_order_relaxed);
-    if (obs::Counter *c = ctr.load(std::memory_order_relaxed))
-        c->add(n);
+    counter.fetch_add(n, std::memory_order_relaxed);
 }
 
 /* ------------------------------------------------------------------ */
@@ -109,11 +94,11 @@ class BufferPool
             }
         }
         if (hit) {
-            bump(poolHits, bound.poolHits);
+            bump(poolHits);
             buf.resize(n);
             return buf;
         }
-        bump(poolMisses, bound.poolMisses);
+        bump(poolMisses);
         return std::vector<float>(n);
     }
 
@@ -317,8 +302,8 @@ gemmInto(Trans ta, Trans tb, const Tensor &a, const Tensor &b,
     CASCADE_CHECK(out.rows() == m && out.cols() == n,
                   "gemm output shape mismatch");
     CASCADE_CHECK(&out != &a && &out != &b, "gemm output aliases input");
-    bump(gemmCalls, bound.gemmCalls);
-    bump(gemmFlops, bound.gemmFlops, 2ull * m * k * n);
+    bump(gemmCalls);
+    bump(gemmFlops, 2ull * m * k * n);
 
     // Transposed operands are materialized once (O(r*c) vs the
     // O(m*k*n) multiply) so a single dense kernel serves all four
@@ -437,7 +422,7 @@ void
 add(const Tensor &a, const Tensor &b, Tensor &out)
 {
     checkBinary(a, b, out, "kernels::add shape mismatch");
-    bump(elementwiseCalls, bound.elementwiseCalls);
+    bump(elementwiseCalls);
     const float *x = a.data(), *y = b.data();
     float *o = out.data();
     for (size_t i = 0; i < a.size(); ++i)
@@ -448,7 +433,7 @@ void
 sub(const Tensor &a, const Tensor &b, Tensor &out)
 {
     checkBinary(a, b, out, "kernels::sub shape mismatch");
-    bump(elementwiseCalls, bound.elementwiseCalls);
+    bump(elementwiseCalls);
     const float *x = a.data(), *y = b.data();
     float *o = out.data();
     for (size_t i = 0; i < a.size(); ++i)
@@ -459,7 +444,7 @@ void
 hadamard(const Tensor &a, const Tensor &b, Tensor &out)
 {
     checkBinary(a, b, out, "kernels::hadamard shape mismatch");
-    bump(elementwiseCalls, bound.elementwiseCalls);
+    bump(elementwiseCalls);
     const float *x = a.data(), *y = b.data();
     float *o = out.data();
     for (size_t i = 0; i < a.size(); ++i)
@@ -470,7 +455,7 @@ void
 scale(const Tensor &a, float s, Tensor &out)
 {
     CASCADE_CHECK(out.sameShape(a), "kernels::scale shape mismatch");
-    bump(elementwiseCalls, bound.elementwiseCalls);
+    bump(elementwiseCalls);
     const float *x = a.data();
     float *o = out.data();
     for (size_t i = 0; i < a.size(); ++i)
@@ -481,7 +466,7 @@ void
 axpy(float alpha, const Tensor &x, Tensor &y)
 {
     CASCADE_CHECK(x.sameShape(y), "kernels::axpy shape mismatch");
-    bump(elementwiseCalls, bound.elementwiseCalls);
+    bump(elementwiseCalls);
     const float *xs = x.data();
     float *ys = y.data();
     for (size_t i = 0; i < x.size(); ++i)
@@ -493,7 +478,7 @@ rowSum(const Tensor &a, Tensor &out)
 {
     CASCADE_CHECK(out.rows() == a.rows() && out.cols() == 1,
                   "kernels::rowSum output must be Rx1");
-    bump(elementwiseCalls, bound.elementwiseCalls);
+    bump(elementwiseCalls);
     for (size_t r = 0; r < a.rows(); ++r) {
         const float *row = a.row(r);
         float acc = 0.0f;
@@ -508,7 +493,7 @@ colSum(const Tensor &a, Tensor &out)
 {
     CASCADE_CHECK(out.rows() == 1 && out.cols() == a.cols(),
                   "kernels::colSum output must be 1xC");
-    bump(elementwiseCalls, bound.elementwiseCalls);
+    bump(elementwiseCalls);
     float *o = out.data();
     std::memset(o, 0, a.cols() * sizeof(float));
     for (size_t r = 0; r < a.rows(); ++r) {
@@ -537,7 +522,7 @@ cosineOverwrite(float *dst, const float *src, size_t n)
 }
 
 /* ------------------------------------------------------------------ */
-/* Stats / metrics                                                     */
+/* Stats                                                               */
 
 KernelStats
 stats()
@@ -566,32 +551,6 @@ resetStats()
     poolMisses.store(0, std::memory_order_relaxed);
     poolReturns.store(0, std::memory_order_relaxed);
     poolEvictions.store(0, std::memory_order_relaxed);
-}
-
-void
-bindMetrics(obs::MetricsRegistry &registry)
-{
-    bound.gemmCalls.store(&registry.counter("kernels.gemm.calls"),
-                          std::memory_order_relaxed);
-    bound.gemmFlops.store(&registry.counter("kernels.gemm.flops"),
-                          std::memory_order_relaxed);
-    bound.elementwiseCalls.store(
-        &registry.counter("kernels.elementwise.calls"),
-        std::memory_order_relaxed);
-    bound.poolHits.store(&registry.counter("kernels.pool.hits"),
-                         std::memory_order_relaxed);
-    bound.poolMisses.store(&registry.counter("kernels.pool.misses"),
-                           std::memory_order_relaxed);
-}
-
-void
-unbindMetrics()
-{
-    bound.gemmCalls.store(nullptr, std::memory_order_relaxed);
-    bound.gemmFlops.store(nullptr, std::memory_order_relaxed);
-    bound.elementwiseCalls.store(nullptr, std::memory_order_relaxed);
-    bound.poolHits.store(nullptr, std::memory_order_relaxed);
-    bound.poolMisses.store(nullptr, std::memory_order_relaxed);
 }
 
 } // namespace kernels

@@ -27,8 +27,9 @@
  *    per-op heap allocation after warm-up.
  *
  *  - Observability. Kernel invocations, GEMM flops and pool hit/miss
- *    tallies are always counted; bindMetrics() additionally publishes
- *    them as named instruments (`kernels.*`) in a MetricsRegistry.
+ *    tallies are counted in process-wide atomics read through
+ *    stats(); a TrainingSession publishes the change over its run as
+ *    `kernels.*` counters in its MetricsRegistry.
  */
 
 #ifndef CASCADE_TENSOR_KERNELS_HH
@@ -40,10 +41,6 @@
 #include "util/determinism.hh"
 
 namespace cascade {
-
-namespace obs {
-class MetricsRegistry;
-}
 
 namespace kernels {
 
@@ -136,14 +133,6 @@ KernelStats stats();
 
 /** Zero every counter (bench runs; cached pool bytes are kept). */
 void resetStats();
-
-/**
- * Publish the kernel counters as named `kernels.*` instruments.
- * Mirrors the component bindMetrics() contract: the registry must
- * outlive the binding; call unbindMetrics() before it is destroyed.
- */
-void bindMetrics(obs::MetricsRegistry &registry);
-void unbindMetrics();
 
 } // namespace kernels
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.hh"
 #include "tensor/ops.hh"
 #include "tgnn/serialize.hh"
 #include "util/logging.hh"
@@ -179,28 +178,6 @@ size_t
 TgnnModel::stateBytes() const
 {
     return memory_.bytes() + mailbox_.bytes();
-}
-
-void
-TgnnModel::bindMetrics(obs::MetricsRegistry &registry)
-{
-    stepsCtr_ = &registry.counter("model.steps");
-    eventsCtr_ = &registry.counter("model.events");
-    workRowsCtr_ = &registry.counter("model.work_rows");
-    neighborsCtr_ = &registry.counter("model.sampled_neighbors");
-    registry.gauge("model.parameter_bytes")
-        .set(static_cast<double>(parameterBytes()));
-    registry.gauge("model.state_bytes")
-        .set(static_cast<double>(stateBytes()));
-}
-
-void
-TgnnModel::unbindMetrics()
-{
-    stepsCtr_ = nullptr;
-    eventsCtr_ = nullptr;
-    workRowsCtr_ = nullptr;
-    neighborsCtr_ = nullptr;
 }
 
 void
@@ -470,7 +447,6 @@ TgnnModel::step(const EventSource &data, const TemporalAdjacency &adj,
         result.memCosine = applyWriteback(data, f.writeback);
         result.updatedNodes = std::move(f.writeback.nodes);
     }
-    recordStepMetrics(result);
     return result;
 }
 
@@ -721,17 +697,6 @@ TgnnModel::advanceState(const EventSource &data, size_t st, size_t ed)
             wb.values.copyRowFrom(i, fresh.values.value(), upd_rows[i]);
     }
     applyWriteback(data, wb);
-}
-
-void
-TgnnModel::recordStepMetrics(const StepResult &r)
-{
-    if (stepsCtr_) {
-        stepsCtr_->add(1);
-        eventsCtr_->add(r.numEvents);
-        workRowsCtr_->add(r.workRows);
-        neighborsCtr_->add(r.sampledNeighbors);
-    }
 }
 
 double

@@ -40,11 +40,6 @@
 
 namespace cascade {
 
-namespace obs {
-class MetricsRegistry;
-class Counter;
-}
-
 /** Outcome of one batch step. */
 struct StepResult
 {
@@ -229,9 +224,6 @@ class TgnnModel
     CASCADE_TRAJECTORY
     void advanceState(const EventSource &data, size_t st, size_t ed);
 
-    /** Bump the bound model.* counters for one completed step. */
-    void recordStepMetrics(const StepResult &r);
-
     /**
      * Mean BCE loss over [st, ed) processed in eval batches of
      * batch_size; memories advance (values only) so the stream stays
@@ -357,20 +349,6 @@ class TgnnModel
     /** Approximate state bytes: memory + mailbox (Figure 13c). */
     size_t stateBytes() const;
 
-    /**
-     * Publish the model's per-step work accounting (`model.steps`,
-     * `model.events`, `model.work_rows`, `model.sampled_neighbors`)
-     * and size gauges into `registry`. Purely additive: the StepResult
-     * fields stay the source of truth for the trainer. The registry
-     * must outlive the binding: a model routinely outlives its
-     * TrainingSession (evalLoss/embedNodes after training), so the
-     * session unbinds on destruction via unbindMetrics().
-     */
-    void bindMetrics(obs::MetricsRegistry &registry);
-
-    /** Drop the bound instruments (registry about to go away). */
-    void unbindMetrics();
-
   private:
     /** Fresh (message-consumed) memories for a node list. */
     struct FreshMemory
@@ -429,12 +407,6 @@ class TgnnModel
     Variable jodieDecay_; ///< 1 x D time-projection weights
     std::unique_ptr<Mlp> decoder_;
     std::unique_ptr<Adam> optimizer_;
-
-    // Bound observability instruments (null until bindMetrics).
-    obs::Counter *stepsCtr_ = nullptr;
-    obs::Counter *eventsCtr_ = nullptr;
-    obs::Counter *workRowsCtr_ = nullptr;
-    obs::Counter *neighborsCtr_ = nullptr;
 };
 
 } // namespace cascade

@@ -25,10 +25,6 @@ namespace cascade {
 class ByteWriter;
 class ByteReader;
 
-namespace obs {
-class MetricsRegistry;
-}
-
 /** Runtime feedback a policy may use (loss plateau, memory drift). */
 struct BatchFeedback
 {
@@ -70,9 +66,6 @@ class Batcher
     /** Resident bytes of policy state (Figure 13c). */
     virtual size_t stateBytes() const { return 0; }
 
-    /** Batch-boundary search seconds (Figure 13b); 0 if trivial. */
-    virtual double lookupSeconds() const { return 0.0; }
-
     /** Fraction of stable memory updates this epoch (Figure 5). */
     virtual double stableUpdateRatio() const { return 0.0; }
 
@@ -103,26 +96,6 @@ class Batcher
      * retry with more conservative batches.
      */
     virtual void onNumericRollback() {}
-
-    /**
-     * Attach the run's metrics registry. Policies with internal
-     * accumulators (lookup seconds, stable-update tallies, Max_r)
-     * publish them as named instruments; the bespoke accessors above
-     * stay as thin views over the same measurements. The registry
-     * must outlive the binding: call unbindMetrics() before the
-     * registry is destroyed if the batcher outlives it.
-     */
-    virtual void bindMetrics(obs::MetricsRegistry &registry)
-    {
-        (void)registry;
-    }
-
-    /**
-     * Drop any instruments bound by bindMetrics. Safe when nothing
-     * is bound. TrainingSession calls this from its destructor so a
-     * batcher may outlive the session-owned registry.
-     */
-    virtual void unbindMetrics() {}
 };
 
 /** TGL: fixed-size batches (the paper's baseline, §5.1). */

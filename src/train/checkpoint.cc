@@ -159,11 +159,8 @@ saveCheckpointRotated(const std::string &path,
     // 1. Stage the new artifact atomically. A failure here (full
     // disk, injected fault) must not disturb any existing generation.
     const std::string stage = checkpointStagePath(path);
-    if (!writeFileAtomic(stage, payload)) {
-        if (metrics)
-            metrics->counter("checkpoint.write_failures").add(1);
+    if (!writeFileAtomic(stage, payload))
         return false;
-    }
 
     // 2. Shift the committed generations one slot older. Every step
     // is a rename of a complete artifact, so a SIGKILL anywhere in
@@ -196,8 +193,6 @@ saveCheckpointRotated(const std::string &path,
     if (!renameFile(stage, path)) {
         // The staged artifact is complete and the scan tries it
         // first, so data is safe — but report the failed commit.
-        if (metrics)
-            metrics->counter("checkpoint.write_failures").add(1);
         return false;
     }
 

@@ -118,8 +118,9 @@ std::string checkpointMarkerPath(const std::string &path);
  * dropped) and the stage renamed to `path`. A failed write leaves
  * every existing generation untouched. Each generation is one
  * CRC-framed file; nothing else records the family. Counts
- * `checkpoint.saves` / `checkpoint.write_failures` /
- * `checkpoint.bytes_written` / `checkpoint.rotations`.
+ * `checkpoint.saves` / `checkpoint.bytes_written` /
+ * `checkpoint.rotations`; a failed commit returns false, and the
+ * session's Supervisor counts it as `checkpoint.failures`.
  */
 CASCADE_TRAJECTORY
 bool saveCheckpointRotated(const std::string &path,

@@ -3,21 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "obs/metrics.hh"
-
 namespace cascade {
-
-void
-NumericGuard::bindMetrics(obs::MetricsRegistry &registry)
-{
-    tripsCtr_ = &registry.counter("guard.trips");
-}
-
-void
-NumericGuard::unbindMetrics()
-{
-    tripsCtr_ = nullptr;
-}
 
 bool
 NumericGuard::admit(double loss, double gradNorm)
@@ -55,8 +41,6 @@ NumericGuard::admit(double loss, double gradNorm)
     reason_ = buf;
     ++trips_;
     ++consecutive_;
-    if (tripsCtr_)
-        tripsCtr_->add(1);
     return false;
 }
 

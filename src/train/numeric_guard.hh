@@ -21,11 +21,6 @@
 
 namespace cascade {
 
-namespace obs {
-class MetricsRegistry;
-class Counter;
-}
-
 /** Trip thresholds and retry budget. */
 struct NumericGuardOptions
 {
@@ -61,18 +56,11 @@ class NumericGuard
     /** Total trips since construction (healthy steps don't reset). */
     size_t trips() const { return trips_; }
 
-    /** Publish trips as a `guard.trips` counter; trips() stays a view. */
-    void bindMetrics(obs::MetricsRegistry &registry);
-
-    /** Drop the bound instruments (registry about to go away). */
-    void unbindMetrics();
-
   private:
     NumericGuardOptions opts_;
     size_t trips_ = 0;
     size_t consecutive_ = 0;
     std::string reason_;
-    obs::Counter *tripsCtr_ = nullptr; ///< null until bindMetrics
 };
 
 } // namespace cascade

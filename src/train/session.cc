@@ -75,14 +75,6 @@ TrainingSession::TrainingSession(TgnnModel &model,
         trace_ = ownedTrace_.get();
     }
 
-    // Components publish their bespoke accumulators as named
-    // instruments; their accessors stay views over the same numbers.
-    batcher_.bindMetrics(*metrics_);
-    guard_.bindMetrics(*metrics_);
-    device_->bindMetrics(*metrics_);
-    model_.bindMetrics(*metrics_);
-    kernels::bindMetrics(*metrics_);
-
     supervisor_ =
         std::make_unique<Supervisor>(options_.retry, *metrics_, trace_);
 
@@ -109,14 +101,6 @@ TrainingSession::~TrainingSession()
     // A write still in flight (the run threw) records into the
     // registry and reads lastGood_: finish it before either goes.
     pendingWrite_.drop();
-    // The bound components may outlive this session's (possibly
-    // owned) registry; drop their instrument pointers so later use
-    // (evalLoss, another session) never touches freed memory.
-    kernels::unbindMetrics();
-    model_.unbindMetrics();
-    batcher_.unbindMetrics();
-    guard_.unbindMetrics();
-    device_->unbindMetrics();
 }
 
 void
@@ -180,8 +164,6 @@ TrainingSession::initOrResume()
             }
             lastGood_ = encodeCheckpoint(model_, batcher_, cur_);
             report_.resumed = true;
-            report_.resumedGeneration = scan.generation;
-            report_.corruptSkippedOnResume = scan.corruptSkipped;
             metrics_->counter("session.resumes").add(1);
         }
     } else {
@@ -199,9 +181,8 @@ TrainingSession::runBatch()
     auto batch_span = trace_->span("batch", "batch");
     const size_t st = static_cast<size_t>(cur_.st);
 
-    // Stage `boundary`: the batch-formation decision. For Cascade
-    // policies the TG-Diffuser records its Algorithm 3 `lookup`
-    // sub-stage into `stage.lookup.seconds` from inside this span.
+    // Stage `boundary`: the batch-formation decision (for Cascade
+    // policies, the Algorithm 3 lookup; the report's lookupSeconds).
     // A failed dependency-table build (Cascade_EX's prefetch surfaces
     // its exception here) propagates out of run() like any other
     // stage's exception: the build is deterministic, so a retry would
@@ -255,7 +236,6 @@ TrainingSession::runBatch()
             // rebroadcast or they silently diverge.
             if (workerGroup_)
                 workerGroup_->resyncReplicas();
-            metrics_->counter("train.rollbacks").add(1);
             CASCADE_LOG("rolled back to epoch %llu batch %llu",
                         (unsigned long long)cur_.epoch,
                         (unsigned long long)cur_.batchIndex);
@@ -268,7 +248,9 @@ TrainingSession::runBatch()
     {
         StageScope stage(metrics_->histogram("stage.feedback.seconds"),
                          *trace_, "feedback");
-        device_->charge(r.numEvents, r.workRows, r.sampledNeighbors);
+        metrics_->histogram("device.batch_seconds")
+            .record(device_->charge(r.numEvents, r.workRows,
+                                    r.sampledNeighbors));
 
         BatchFeedback fb;
         fb.batchIndex = static_cast<size_t>(cur_.batchIndex);
@@ -289,6 +271,7 @@ TrainingSession::runBatch()
     cur_.st = ed;
     metrics_->counter("train.batches").add(1);
     metrics_->counter("train.events").add(r.numEvents);
+    metrics_->counter("train.sampled_neighbors").add(r.sampledNeighbors);
     metrics_->histogram("train.batch_size")
         .record(static_cast<double>(r.numEvents));
     // Out-of-core: the trained prefix is no longer hot (neighbor
@@ -442,52 +425,6 @@ TrainingSession::finishEpoch(double epoch_wall, double dev_before)
 void
 TrainingSession::assembleReport()
 {
-    report_.epochs = cur_.completed;
-    report_.totalBatches = static_cast<size_t>(cur_.totalBatches);
-    // Wall time only covers this process's work: epochs restored from
-    // a checkpoint come back with wallSeconds = 0 (checkpoints do not
-    // carry wall time, so equal trajectories write equal bytes).
-    report_.wallSeconds = 0.0;
-    for (const EpochStats &es : report_.epochs)
-        report_.wallSeconds += es.wallSeconds;
-    report_.deviceSeconds = device_->totalSeconds();
-    report_.deviceUtilization = device_->utilization();
-    report_.avgBatchSize = cur_.totalBatches
-        ? static_cast<double>(cur_.totalEvents) / cur_.totalBatches
-        : 0.0;
-
-    // Measurement fields come out of the registry the stages and the
-    // bound components recorded into; the batcher accessors serve as
-    // the views for instruments only Cascade policies publish.
-    report_.modelSeconds =
-        metrics_->histogram("stage.model.seconds").sum();
-    report_.guardTrips =
-        static_cast<size_t>(metrics_->counter("guard.trips").value());
-    report_.rollbacks = static_cast<size_t>(
-        metrics_->counter("train.rollbacks").value());
-    report_.lookupSeconds = batcher_.lookupSeconds();
-    // Preprocessing that happened lazily during training (Cascade_EX
-    // chunk builds) shows up as the delta against the initial charge.
-    report_.preprocessSeconds = batcher_.preprocessSeconds();
-
-    // Supervised-execution accounting (degradedMode and the disabled
-    // flag were recorded at their transition points).
-    report_.degradations = static_cast<size_t>(
-        metrics_->counter("degrade.transitions").value());
-    report_.checkpointRetries = static_cast<size_t>(
-        metrics_->counter("checkpoint.retries").value());
-    report_.checkpointWriteFailures = static_cast<size_t>(
-        metrics_->counter("checkpoint.write_failures").value());
-
-    // Sharded-worker accounting (train/shard.hh). The group object
-    // outlives its shutdown, so the tallies stay readable here.
-    if (workerGroup_) {
-        report_.workers = options_.workers;
-        report_.shards = workerGroup_->shards();
-        report_.workerDeaths = workerGroup_->deaths();
-        report_.workerRebalances = workerGroup_->rebalances();
-    }
-
     // Stage `eval`: the post-training validation pass.
     if (!report_.interrupted && options_.validate &&
         trainEnd_ < data_.size()) {
@@ -498,17 +435,73 @@ TrainingSession::assembleReport()
                                           options_.evalBatch);
     }
 
-    // Summary gauges so a --metrics-out dump is self-contained.
-    metrics_->gauge("train.wall_seconds").set(report_.wallSeconds);
-    metrics_->gauge("train.avg_batch_size").set(report_.avgBatchSize);
-    metrics_->gauge("train.stable_update_ratio")
-        .set(report_.stableUpdateRatio);
-    metrics_->gauge("train.val_loss").set(report_.valLoss);
-    metrics_->gauge("train.lookup_seconds").set(report_.lookupSeconds);
-    metrics_->gauge("train.preprocess_seconds")
-        .set(report_.preprocessSeconds);
-    metrics_->gauge("device.total_seconds")
-        .set(report_.deviceSeconds);
+    // Publish the components' end-of-run state. They hold no
+    // instruments; after eval, so the kernel counters cover it too.
+    obs::MetricsRegistry &m = *metrics_;
+    m.counter("guard.trips").add(guard_.trips());
+    m.gauge("device.utilization").set(device_->utilization());
+    m.gauge("batcher.preprocess_seconds")
+        .set(batcher_.preprocessSeconds());
+    m.gauge("batcher.state_bytes")
+        .set(static_cast<double>(batcher_.stateBytes()));
+    m.gauge("model.parameter_bytes")
+        .set(static_cast<double>(model_.parameterBytes()));
+    m.gauge("model.state_bytes")
+        .set(static_cast<double>(model_.stateBytes()));
+    const kernels::KernelStats k = kernels::stats();
+    m.counter("kernels.gemm.calls")
+        .add(k.gemmCalls - kernelsAtStart_.gemmCalls);
+    m.counter("kernels.gemm.flops")
+        .add(k.gemmFlops - kernelsAtStart_.gemmFlops);
+    m.counter("kernels.elementwise.calls")
+        .add(k.elementwiseCalls - kernelsAtStart_.elementwiseCalls);
+    m.counter("kernels.pool.hits")
+        .add(k.poolHits - kernelsAtStart_.poolHits);
+    m.counter("kernels.pool.misses")
+        .add(k.poolMisses - kernelsAtStart_.poolMisses);
+
+    // Session facts without an instrument of their own.
+    report_.epochs = cur_.completed;
+    report_.totalBatches = static_cast<size_t>(cur_.totalBatches);
+    report_.avgBatchSize = cur_.totalBatches
+        ? static_cast<double>(cur_.totalEvents) / cur_.totalBatches
+        : 0.0;
+    m.gauge("train.avg_batch_size").set(report_.avgBatchSize);
+    m.gauge("train.stable_update_ratio").set(report_.stableUpdateRatio);
+    m.gauge("train.val_loss").set(report_.valLoss);
+
+    // Every measurement field is read back from its one instrument.
+    // Wall time covers this process's epochs only: checkpoints carry
+    // no wall time, so equal trajectories write equal bytes.
+    const auto count = [&m](const char *name) -> size_t {
+        const obs::Counter *c = m.findCounter(name);
+        return c ? static_cast<size_t>(c->value()) : 0;
+    };
+    const auto gauge = [&m](const char *name, double absent) {
+        const obs::Gauge *g = m.findGauge(name);
+        return g ? g->value() : absent;
+    };
+    const auto sum = [&m](const char *name) {
+        const obs::Histogram *h = m.findHistogram(name);
+        return h ? h->sum() : 0.0;
+    };
+    report_.modelSeconds = sum("stage.model.seconds");
+    report_.lookupSeconds = sum("stage.boundary.seconds");
+    report_.wallSeconds = sum("epoch.wall_seconds");
+    report_.deviceSeconds = sum("device.batch_seconds");
+    report_.deviceUtilization = gauge("device.utilization", 0.0);
+    report_.preprocessSeconds = gauge("batcher.preprocess_seconds", 0.0);
+    report_.guardTrips = count("guard.trips");
+    report_.checkpointRetries = count("checkpoint.retries");
+    report_.checkpointWriteFailures = count("checkpoint.failures");
+    report_.degradations = count("degrade.transitions");
+    report_.workers =
+        static_cast<size_t>(gauge("worker.group_size", 1.0));
+    report_.shards = static_cast<size_t>(gauge("worker.shards", 0.0));
+    report_.workerDeaths = count("worker.deaths");
+    report_.resumedGeneration = static_cast<size_t>(
+        gauge("checkpoint.recovered_generation", 0.0));
+    report_.corruptSkippedOnResume = count("checkpoint.corrupt_skipped");
 }
 
 TrainReport
@@ -516,6 +509,7 @@ TrainingSession::run()
 {
     CASCADE_CHECK(!ran_, "TrainingSession::run: already ran");
     ran_ = true;
+    kernelsAtStart_ = kernels::stats();
 
     initOrResume();
 

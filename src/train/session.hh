@@ -8,8 +8,8 @@
  * global batch explicit and observable:
  *
  *   boundary   — Batcher::next (batch-boundary decision; for Cascade
- *                this contains the Algorithm 3 `lookup` sub-stage,
- *                recorded by the TG-Diffuser itself)
+ *                the Algorithm 3 lookup, whose seconds the report's
+ *                lookupSeconds reads from this stage)
  *   model      — TgnnModel::step (forward/backward/update)
  *   guard      — NumericGuard admission + rollback restore on a trip
  *   feedback   — Batcher::onBatchDone (SG-Filter + ABS refresh) and
@@ -25,9 +25,17 @@
  * build included) propagates out of run(). Every stage runs under a
  * trace span (epoch > batch > stage, chrome://tracing JSON via
  * obs::TraceRecorder) and records its seconds into a
- * `stage.<name>.seconds` histogram in the session's MetricsRegistry;
- * the TrainReport is assembled *from* the registry afterwards instead
- * of being mutated inline.
+ * `stage.<name>.seconds` histogram in the session's MetricsRegistry.
+ *
+ * The session is the registry's one writer of run facts. Model,
+ * batcher, guard, device model and kernels hold no instruments; the
+ * session records what it observes as it happens (stage seconds,
+ * batch and event counts, each batch's modeled device seconds),
+ * publishes the components' end-of-run state once after the eval
+ * stage (guard trips, device utilization, batcher preprocessing and
+ * state bytes, model sizes, the change in kernels::stats() over the
+ * run), and then reads every measurement field of the TrainReport
+ * back out of the registry, one instrument per field.
  *
  * The stages run in program order on one thread (kernels fan out
  * over the worker pool inside a stage). The one stage work that
@@ -54,6 +62,7 @@
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "tensor/kernels.hh"
 #include "train/checkpoint.hh"
 #include "train/supervisor.hh"
 #include "train/trainer.hh"
@@ -86,7 +95,8 @@ class TrainingSession
      * session hints consumed prefixes so the kernel can drop trained
      * pages). `device`, `metrics` and `trace` may be null: the
      * session then uses private instances (reachable via
-     * metrics()/trace() afterwards).
+     * metrics()/trace() afterwards). A caller's registry must be
+     * fresh: the report reads this run's totals out of it.
      */
     TrainingSession(TgnnModel &model, const EventSource &data,
                     const TemporalAdjacency &adj, size_t train_end,
@@ -95,13 +105,7 @@ class TrainingSession
                     obs::MetricsRegistry *metrics = nullptr,
                     obs::TraceRecorder *trace = nullptr);
 
-    /**
-     * Joins a checkpoint write still in flight, then unbinds the
-     * instruments the constructor bound into the registry. Model,
-     * batcher and device routinely outlive the session (and, when
-     * owned, its registry) — e.g. evalLoss after training — so they
-     * must not be left holding dangling instrument pointers.
-     */
+    /** Joins a checkpoint write still in flight (the run threw). */
     ~TrainingSession();
 
     TrainingSession(const TrainingSession &) = delete;
@@ -122,7 +126,10 @@ class TrainingSession
     /** Execute the full run (or resume); at most once per session. */
     TrainReport run();
 
-    /** The session's metrics registry (bound into every component). */
+    /**
+     * The session's metrics registry: stage seconds and counts as
+     * they happen; component state once run() has returned.
+     */
     obs::MetricsRegistry &metrics() { return *metrics_; }
     const obs::MetricsRegistry &metrics() const { return *metrics_; }
 
@@ -180,7 +187,10 @@ class TrainingSession
     /** Close the epoch's accounting (EpochStats). */
     void finishEpoch(double epoch_wall, double dev_before);
 
-    /** Stage `eval` + TrainReport assembly from the registry. */
+    /**
+     * Stage `eval`, then publish the components' end-of-run state
+     * and read the TrainReport out of the registry.
+     */
     void assembleReport();
 
     // --- wiring -----------------------------------------------------
@@ -216,6 +226,8 @@ class TrainingSession
                                   // may record rungs concurrently
     std::function<void(const BatchRecord &)> observer_;
     bool ran_ = false;
+    /** kernels::stats() when run() began (published as a change). */
+    kernels::KernelStats kernelsAtStart_;
     /** One-way degradation: checkpoint writes kept failing. */
     bool checkpointingDisabled_ = false;
     /** The background cadence write (at most one in flight). */

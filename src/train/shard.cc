@@ -278,12 +278,8 @@ WorkerGroup::declareDead(size_t rank, const char *why)
     }
     p.fd = -1;
     p.pid = -1;
-    ++deaths_;
-    ++rebalances_;
-    if (metrics_) {
+    if (metrics_)
         metrics_->counter("worker.deaths").add(1);
-        metrics_->counter("worker.rebalances").add(1);
-    }
     writePidRoster();
     if (onDegrade_)
         onDegrade_(aliveWorkers() > 0 ? "worker-fold" : "worker-local");
@@ -417,7 +413,6 @@ WorkerGroup::runBatch(uint64_t globalBatch, size_t st, size_t ed)
             declareDead(rank, "apply not acknowledged");
     }
     StepResult r = applyMergedUpdate(master_, data_, update);
-    master_.recordStepMetrics(r);
     if (metrics_) {
         metrics_->counter("worker.batches").add(1);
         metrics_->histogram("worker.merge_seconds")

@@ -133,15 +133,6 @@ class WorkerGroup
     /** Workers still alive (== workers until the first death). */
     size_t aliveWorkers() const;
 
-    /** Worker deaths absorbed so far. */
-    size_t deaths() const { return deaths_; }
-
-    /** Shard reassignments performed (one per death). */
-    size_t rebalances() const { return rebalances_; }
-
-    /** Resolved logical shard count K. */
-    size_t shards() const { return shards_; }
-
     /**
      * Degradation-ladder hook: invoked with "worker-fold" /
      * "worker-local" when a death downgrades the group, so the
@@ -192,8 +183,6 @@ class WorkerGroup
     size_t shards_ = 0; ///< resolved K
     bool started_ = false;
     bool shutdown_ = false;
-    size_t deaths_ = 0;
-    size_t rebalances_ = 0;
 
     /** Forked workers by rank. */
     std::vector<Proc> procs_;

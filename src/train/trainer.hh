@@ -16,6 +16,10 @@
  * supervised stage is the checkpoint write (TrainOptions::retry); its
  * outcome and the degradation rungs taken land in the report's
  * supervised-execution fields.
+ *
+ * Each measurement field of TrainReport is read out of the session's
+ * registry from the one instrument named beside it; epochs, batch
+ * counts, averages and the status flags come from the session itself.
  */
 
 #ifndef CASCADE_TRAIN_TRAINER_HH
@@ -52,27 +56,34 @@ struct TrainReport
 {
     std::vector<EpochStats> epochs;
 
-    double wallSeconds = 0.0;      ///< this process's training wall time
-    double deviceSeconds = 0.0;    ///< total modeled device time
-    double preprocessSeconds = 0.0;///< table building + profiling
-    double lookupSeconds = 0.0;    ///< batch-boundary search
-    double modelSeconds = 0.0;     ///< forward/backward/update
+    /** This process's training wall time (Σ epoch.wall_seconds). */
+    double wallSeconds = 0.0;
+    /** Modeled device time (Σ device.batch_seconds). */
+    double deviceSeconds = 0.0;
+    /** Table building + profiling (batcher.preprocess_seconds). */
+    double preprocessSeconds = 0.0;
+    /** Batch-boundary search (Σ stage.boundary.seconds). */
+    double lookupSeconds = 0.0;
+    /** Forward/backward/update (Σ stage.model.seconds). */
+    double modelSeconds = 0.0;
 
     double valLoss = 0.0;          ///< final loss at the base batch
     double avgBatchSize = 0.0;
     size_t totalBatches = 0;
-    double deviceUtilization = 0.0;
+    double deviceUtilization = 0.0;///< device.utilization
     double stableUpdateRatio = 0.0;///< last epoch (0 if policy lacks it)
 
-    /** Numeric-guard trips observed (not reset by rollbacks). */
+    /** Numeric-guard trips (guard.trips). A trip either rolls back
+     *  to the last good snapshot or, with the retry budget spent,
+     *  ends the run, so this is also the rollback count. */
     size_t guardTrips = 0;
-    /** Rollbacks to the last good checkpoint. */
-    size_t rollbacks = 0;
     /** This run resumed from a checkpoint file. */
     bool resumed = false;
-    /** Generation the resume loaded (0 = newest; see resumed). */
+    /** Generation the resume loaded (0 = newest; see resumed;
+     *  checkpoint.recovered_generation). */
     size_t resumedGeneration = 0;
-    /** Corrupt/mismatched generations skipped while resuming. */
+    /** Corrupt/mismatched generations skipped while resuming
+     *  (checkpoint.corrupt_skipped). */
     size_t corruptSkippedOnResume = 0;
     /** A (simulated) crash cut training short; resume to finish. */
     bool interrupted = false;
@@ -80,7 +91,8 @@ struct TrainReport
     /** @name Supervised-execution accounting (train/supervisor.hh) */
     /** @{ */
     /** Degradation-ladder rungs taken (checkpointing-disabled,
-     *  checkpoint-fallback, worker-fold, worker-local). */
+     *  checkpoint-fallback, worker-fold, worker-local;
+     *  degrade.transitions). */
     size_t degradations = 0;
     /** Last degradation rung entered: "none" (healthy, full
      *  capability), "checkpointing-disabled", "checkpoint-fallback",
@@ -88,22 +100,24 @@ struct TrainReport
     std::string degradedMode = "none";
     /** Checkpoint writes gave up and checkpointing was turned off. */
     bool checkpointingDisabled = false;
-    /** Checkpoint-write retries (the only supervised stage). */
+    /** Checkpoint-write retries, the only supervised stage
+     *  (checkpoint.retries). */
     size_t checkpointRetries = 0;
-    /** Individual checkpoint write attempts that failed. */
+    /** Checkpoint write attempts that failed (checkpoint.failures). */
     size_t checkpointWriteFailures = 0;
     /** @} */
 
     /** @name Sharded-worker accounting (train/shard.hh) */
     /** @{ */
-    /** Worker count the run was configured with (1 = unsharded). */
+    /** Worker count the run was configured with (1 = unsharded;
+     *  worker.group_size). */
     size_t workers = 1;
-    /** Logical shard count K (trajectory-defining; 0 = unsharded). */
+    /** Logical shard count K (trajectory-defining; 0 = unsharded;
+     *  worker.shards). */
     size_t shards = 0;
-    /** Workers that died (SIGKILL, crash) and were folded away. */
+    /** Workers that died (SIGKILL, crash) and were folded away; each
+     *  death reassigns the dead worker's shards once (worker.deaths). */
     size_t workerDeaths = 0;
-    /** Shard reassignments performed after worker deaths. */
-    size_t workerRebalances = 0;
     /** @} */
 
     /** End-to-end modeled latency: preprocessing + device time. */

@@ -1,10 +1,9 @@
 /**
  * @file
- * End-to-end chunked-training tests (§4.2 / Cascade_EX): with
- * identical seeds, pipelined and serial chunk builds must produce the
- * *identical* training trajectory (same batch boundaries → same
- * step sequence → bit-equal losses), and chunking must only ever cut
- * batch boundaries, never cross them.
+ * End-to-end chunked-training tests (§4.2 / Cascade_EX): chunking
+ * must only ever cut batch boundaries, never cross them; many small
+ * chunks still train; and the prefetched builds keep visible
+ * preprocessing near the monolithic build's.
  */
 
 #include <gtest/gtest.h>
@@ -37,14 +36,13 @@ struct Fixture
 };
 
 TrainReport
-runChunked(Fixture &f, size_t chunk, bool pipeline, size_t epochs = 2)
+runChunked(Fixture &f, size_t chunk, size_t epochs)
 {
     TgnnModel model(tgnConfig(16), f.spec.numNodes, f.data.featDim(),
                     6);
     CascadeBatcher::Options copts;
     copts.baseBatch = f.spec.baseBatch;
     copts.chunkSize = chunk;
-    copts.pipeline = pipeline;
     CascadeBatcher batcher(f.src, f.adj, f.trainEnd, copts);
     TrainOptions options;
     options.epochs = epochs;
@@ -54,22 +52,6 @@ runChunked(Fixture &f, size_t chunk, bool pipeline, size_t epochs = 2)
 }
 
 } // namespace
-
-TEST(ChunkedTraining, PipelinedMatchesSerialBitExactly)
-{
-    Fixture f;
-    const size_t chunk = f.trainEnd / 3 + 1;
-    TrainReport serial = runChunked(f, chunk, false);
-    TrainReport piped = runChunked(f, chunk, true);
-
-    ASSERT_EQ(serial.totalBatches, piped.totalBatches);
-    ASSERT_EQ(serial.epochs.size(), piped.epochs.size());
-    for (size_t e = 0; e < serial.epochs.size(); ++e) {
-        EXPECT_DOUBLE_EQ(serial.epochs[e].trainLoss,
-                         piped.epochs[e].trainLoss);
-    }
-    EXPECT_DOUBLE_EQ(serial.valLoss, piped.valLoss);
-}
 
 TEST(ChunkedTraining, BatchesNeverCrossChunkEdges)
 {
@@ -82,7 +64,6 @@ TEST(ChunkedTraining, BatchesNeverCrossChunkEdges)
     CascadeBatcher::Options copts;
     copts.baseBatch = f.spec.baseBatch;
     copts.chunkSize = chunk;
-    copts.pipeline = false;
     CascadeBatcher b(f.src, f.adj, f.trainEnd, copts);
     b.reset();
     size_t st = 0;
@@ -98,7 +79,7 @@ TEST(ChunkedTraining, BatchesNeverCrossChunkEdges)
 TEST(ChunkedTraining, ManySmallChunksStillTrain)
 {
     Fixture f;
-    TrainReport r = runChunked(f, f.spec.baseBatch, true, 1);
+    TrainReport r = runChunked(f, f.spec.baseBatch, 1);
     EXPECT_GT(r.totalBatches, 0u);
     EXPECT_GT(r.valLoss, 0.0);
     EXPECT_LT(r.valLoss, 2.0);
@@ -110,7 +91,7 @@ TEST(ChunkedTraining, PreprocessingShrinksWithPipelining)
     // only stalls, so visible preprocessing drops versus the
     // monolithic build.
     Fixture f;
-    TrainReport mono = runChunked(f, 0, false, 1);
-    TrainReport piped = runChunked(f, f.trainEnd / 4 + 1, true, 1);
+    TrainReport mono = runChunked(f, 0, 1);
+    TrainReport piped = runChunked(f, f.trainEnd / 4 + 1, 1);
     EXPECT_LT(piped.preprocessSeconds, mono.preprocessSeconds * 1.5);
 }

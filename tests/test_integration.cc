@@ -126,7 +126,6 @@ TEST(Integration, ChunkedPreprocessingPreservesBehaviour)
 
     CascadeBatcher::Options chunked = mono;
     chunked.chunkSize = env.trainEnd / 3 + 1;
-    chunked.pipeline = true;
     CascadeBatcher cb2(env.src, env.adj, env.trainEnd, chunked);
     TrainReport ex = runPolicy(env, cb2);
 

@@ -11,7 +11,6 @@
 #include <cmath>
 #include <vector>
 
-#include "obs/metrics.hh"
 #include "tensor/gradcheck.hh"
 #include "tensor/kernels.hh"
 #include "tensor/ops.hh"
@@ -255,9 +254,9 @@ TEST(KernelCosineOverwrite, ZeroRowConventions)
 
 TEST(KernelStats, CountersAdvanceAndBindToRegistry)
 {
-    obs::MetricsRegistry registry;
-    kernels::bindMetrics(registry);
-
+    // The kernels hold no registry instruments; a TrainingSession
+    // publishes the change in these counters over its run
+    // (TrainingSession.KernelCountersCoverTheRun).
     const kernels::KernelStats before = kernels::stats();
     Rng rng(37);
     Tensor a = Tensor::randn(8, 8, rng);
@@ -265,15 +264,9 @@ TEST(KernelStats, CountersAdvanceAndBindToRegistry)
     Tensor c = kernels::gemm(Trans::None, Trans::None, a, b);
     Tensor out(8, 8);
     kernels::add(a, b, out);
-    kernels::unbindMetrics();
 
     const kernels::KernelStats after = kernels::stats();
     EXPECT_EQ(after.gemmCalls, before.gemmCalls + 1);
     EXPECT_EQ(after.gemmFlops, before.gemmFlops + 2ull * 8 * 8 * 8);
     EXPECT_GE(after.elementwiseCalls, before.elementwiseCalls + 1);
-
-    EXPECT_GE(registry.counter("kernels.gemm.calls").value(), 1u);
-    EXPECT_GE(registry.counter("kernels.gemm.flops").value(),
-              2ull * 8 * 8 * 8);
-    EXPECT_GE(registry.counter("kernels.elementwise.calls").value(), 1u);
 }

@@ -3,7 +3,9 @@
  * Observability-layer tests: metrics-registry semantics, trace-span
  * nesting, JSON well-formedness of both exports (validated by parsing
  * them back), and the TrainingSession's stage accounting — per-stage
- * seconds must reconcile with the report's wall seconds.
+ * seconds must reconcile with the report's wall seconds, each report
+ * field must read its one instrument, and the state the session
+ * publishes at the end of a run must be the components' final state.
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +16,12 @@
 #include <string>
 #include <thread>
 
+#include "core/cascade_batcher.hh"
 #include "graph/dataset.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "train/batcher.hh"
+#include "tensor/kernels.hh"
 #include "train/session.hh"
 #include "util/fault.hh"
 
@@ -461,8 +465,6 @@ TEST(TrainingSession, StageSecondsReconcileWithWallSeconds)
         ASSERT_GT(r.wallSeconds, 0.0);
 
         double stage_sum = 0.0;
-        // `lookup` is deliberately absent: it is a sub-stage recorded
-        // inside `boundary` and would double-count.
         for (const char *name :
              {"stage.boundary.seconds", "stage.model.seconds",
               "stage.guard.seconds", "stage.feedback.seconds",
@@ -498,11 +500,176 @@ TEST(TrainingSession, StageSecondsReconcileWithWallSeconds)
     }
 }
 
+namespace {
+
+/** Every TrainReport measurement field against its one instrument. */
+void
+expectReportReadsItsInstruments(const TrainReport &r,
+                                const obs::MetricsRegistry &m)
+{
+    // Instruments every run records or publishes.
+    for (const char *name : {"stage.model.seconds",
+                             "stage.boundary.seconds",
+                             "epoch.wall_seconds",
+                             "device.batch_seconds"})
+        ASSERT_NE(m.findHistogram(name), nullptr) << name;
+    for (const char *name :
+         {"device.utilization", "batcher.preprocess_seconds"})
+        ASSERT_NE(m.findGauge(name), nullptr) << name;
+    ASSERT_NE(m.findCounter("guard.trips"), nullptr);
+
+    // The rest exist only once their event happened (a retry, a
+    // worker group, a resume); absent reads as the field's default.
+    const auto count = [&m](const char *name) -> size_t {
+        const obs::Counter *c = m.findCounter(name);
+        return c ? static_cast<size_t>(c->value()) : 0;
+    };
+    const auto gauge = [&m](const char *name, double absent) {
+        const obs::Gauge *g = m.findGauge(name);
+        return g ? g->value() : absent;
+    };
+    const auto sum = [&m](const char *name) {
+        return m.findHistogram(name)->sum();
+    };
+    EXPECT_EQ(r.modelSeconds, sum("stage.model.seconds"));
+    EXPECT_EQ(r.lookupSeconds, sum("stage.boundary.seconds"));
+    EXPECT_EQ(r.wallSeconds, sum("epoch.wall_seconds"));
+    EXPECT_EQ(r.deviceSeconds, sum("device.batch_seconds"));
+    EXPECT_EQ(r.deviceUtilization, gauge("device.utilization", -1.0));
+    EXPECT_EQ(r.preprocessSeconds,
+              gauge("batcher.preprocess_seconds", -1.0));
+    EXPECT_EQ(r.guardTrips, count("guard.trips"));
+    EXPECT_EQ(r.checkpointRetries, count("checkpoint.retries"));
+    EXPECT_EQ(r.checkpointWriteFailures, count("checkpoint.failures"));
+    EXPECT_EQ(r.degradations, count("degrade.transitions"));
+    EXPECT_EQ(r.workers,
+              static_cast<size_t>(gauge("worker.group_size", 1.0)));
+    EXPECT_EQ(r.shards, static_cast<size_t>(gauge("worker.shards", 0.0)));
+    EXPECT_EQ(r.workerDeaths, count("worker.deaths"));
+    EXPECT_EQ(r.resumedGeneration,
+              static_cast<size_t>(
+                  gauge("checkpoint.recovered_generation", 0.0)));
+    EXPECT_EQ(r.corruptSkippedOnResume,
+              count("checkpoint.corrupt_skipped"));
+}
+
+} // namespace
+
 TEST(TrainingSession, ReportIsAssembledFromTheRegistry)
 {
+    struct FaultScope
+    {
+        explicit FaultScope(const fault::Config &c) { fault::configure(c); }
+        ~FaultScope() { fault::reset(); }
+    };
+    for (const bool nan : {false, true}) {
+        SCOPED_TRACE(nan ? "NaN at batch 3" : "plain run");
+        fault::Config fc;
+        if (nan)
+            fc.nanBatch = 3;
+        FaultScope faults(fc);
+        Fixture f;
+        TgnnModel model(tgnConfig(16), f.spec.numNodes,
+                        f.data.featDim(), 2);
+        FixedBatcher batcher(f.trainEnd, f.spec.baseBatch);
+        TrainOptions o;
+        o.epochs = 1;
+        o.evalBatch = f.spec.baseBatch;
+        o.checkpointEvery = 2; // the rollback grain
+        DeviceModel device;
+
+        TrainingSession session(model, f.src, f.adj, f.trainEnd,
+                                batcher, o, &device);
+        TrainReport r = session.run();
+
+        const obs::MetricsRegistry &m = session.metrics();
+        expectReportReadsItsInstruments(r, m);
+        // The histogram sums the charges in order, as the device does.
+        EXPECT_EQ(r.deviceSeconds, device.totalSeconds());
+        EXPECT_EQ(r.deviceUtilization, device.utilization());
+
+        // train.batches counts admitted batches, a replayed one each
+        // time; the report's totalBatches is the trajectory's count.
+        ASSERT_NE(m.findCounter("train.batches"), nullptr);
+        const uint64_t admitted = m.findCounter("train.batches")->value();
+        if (nan) {
+            EXPECT_GT(admitted, r.totalBatches);
+        } else {
+            EXPECT_EQ(admitted, r.totalBatches);
+        }
+        EXPECT_EQ(m.findHistogram("device.batch_seconds")->count(),
+                  admitted);
+        ASSERT_NE(m.findHistogram("stage.eval.seconds"), nullptr);
+        EXPECT_EQ(m.findHistogram("stage.eval.seconds")->count(), 1u);
+
+        // A trip rolls back (or ends the run), so guard.trips is the
+        // rollback count too; there is no second instrument for it.
+        EXPECT_EQ(r.guardTrips, nan ? 1u : 0u);
+        EXPECT_EQ(m.findCounter("train.rollbacks"), nullptr);
+
+        // The trace saw every admitted batch and the tripped one.
+        size_t batch_spans = 0;
+        for (const obs::TraceEvent &e : session.trace().events())
+            if (e.name == "batch")
+                ++batch_spans;
+        EXPECT_EQ(batch_spans, admitted + r.guardTrips);
+    }
+}
+
+TEST(TrainingSession, PublishesBatcherStateAtRunEnd)
+{
+    // Cascade_EX walks four chunk tables twice; the gauge must hold
+    // the state the batcher ends with, not the state at construction.
     Fixture f;
     TgnnModel model(tgnConfig(16), f.spec.numNodes, f.data.featDim(),
-                    2);
+                    4);
+    CascadeBatcher::Options copts;
+    copts.baseBatch = f.spec.baseBatch;
+    copts.chunkSize = f.trainEnd / 4 + 1;
+    CascadeBatcher batcher(f.src, f.adj, f.trainEnd, copts);
+    ASSERT_EQ(batcher.diffuser().numChunks(), 4u);
+    TrainOptions o;
+    o.epochs = 2;
+    o.evalBatch = f.spec.baseBatch;
+
+    TrainingSession session(model, f.src, f.adj, f.trainEnd, batcher,
+                            o);
+    session.run();
+
+    const obs::MetricsRegistry &m = session.metrics();
+    ASSERT_NE(m.findGauge("batcher.state_bytes"), nullptr);
+    EXPECT_EQ(m.findGauge("batcher.state_bytes")->value(),
+              static_cast<double>(batcher.stateBytes()));
+    ASSERT_NE(m.findGauge("batcher.preprocess_seconds"), nullptr);
+    EXPECT_EQ(m.findGauge("batcher.preprocess_seconds")->value(),
+              batcher.preprocessSeconds());
+
+    // The components' internals are read through their accessors;
+    // no second name holds a fact another instrument already holds.
+    for (const char *name :
+         {"abs.maxr", "abs.decays", "abs.ceiling_scale",
+          "sgfilter.updates.total", "sgfilter.updates.stable",
+          "sgfilter.stable_nodes", "diffuser.preprocess_seconds",
+          "diffuser.table_bytes", "batcher.profile_seconds",
+          "stage.lookup.seconds", "train.lookup_seconds",
+          "train.preprocess_seconds", "train.wall_seconds",
+          "train.rollbacks", "device.total_seconds", "device.batches",
+          "model.steps", "model.events", "model.work_rows",
+          "model.sampled_neighbors", "checkpoint.write_failures",
+          "worker.rebalances"}) {
+        EXPECT_EQ(m.findCounter(name), nullptr) << name;
+        EXPECT_EQ(m.findGauge(name), nullptr) << name;
+        EXPECT_EQ(m.findHistogram(name), nullptr) << name;
+    }
+}
+
+TEST(TrainingSession, KernelCountersCoverTheRun)
+{
+    // The session publishes the change in kernels::stats() over run(),
+    // after the eval stage, so eval's kernel work is counted too.
+    Fixture f;
+    TgnnModel model(tgnConfig(16), f.spec.numNodes, f.data.featDim(),
+                    5);
     FixedBatcher batcher(f.trainEnd, f.spec.baseBatch);
     TrainOptions o;
     o.epochs = 1;
@@ -510,31 +677,19 @@ TEST(TrainingSession, ReportIsAssembledFromTheRegistry)
 
     TrainingSession session(model, f.src, f.adj, f.trainEnd, batcher,
                             o);
-    TrainReport r = session.run();
+    const kernels::KernelStats before = kernels::stats();
+    session.run();
+    const kernels::KernelStats after = kernels::stats();
 
     const obs::MetricsRegistry &m = session.metrics();
-    ASSERT_NE(m.findCounter("train.batches"), nullptr);
-    EXPECT_EQ(m.findCounter("train.batches")->value(),
-              r.totalBatches);
-    ASSERT_NE(m.findHistogram("stage.model.seconds"), nullptr);
-    EXPECT_DOUBLE_EQ(m.findHistogram("stage.model.seconds")->sum(),
-                     r.modelSeconds);
-    ASSERT_NE(m.findCounter("guard.trips"), nullptr);
-    EXPECT_EQ(m.findCounter("guard.trips")->value(), r.guardTrips);
     ASSERT_NE(m.findHistogram("stage.eval.seconds"), nullptr);
-    EXPECT_EQ(m.findHistogram("stage.eval.seconds")->count(), 1u);
-
-    // Device instruments were bound into the same registry.
-    ASSERT_NE(m.findCounter("device.batches"), nullptr);
-    EXPECT_EQ(m.findCounter("device.batches")->value(),
-              r.totalBatches);
-
-    // The trace saw every batch: one `batch` span per global batch.
-    size_t batch_spans = 0;
-    for (const obs::TraceEvent &e : session.trace().events())
-        if (e.name == "batch")
-            ++batch_spans;
-    EXPECT_EQ(batch_spans, r.totalBatches);
+    ASSERT_NE(m.findCounter("kernels.gemm.calls"), nullptr);
+    ASSERT_NE(m.findCounter("kernels.pool.misses"), nullptr);
+    EXPECT_GT(m.findCounter("kernels.gemm.calls")->value(), 0u);
+    EXPECT_EQ(m.findCounter("kernels.gemm.calls")->value(),
+              after.gemmCalls - before.gemmCalls);
+    EXPECT_EQ(m.findCounter("kernels.pool.misses")->value(),
+              after.poolMisses - before.poolMisses);
 }
 
 TEST(TrainingSession, RunsAtMostOnce)

@@ -164,32 +164,6 @@ TEST_P(EveryDataset, CascadeEnduranceInvariantEverywhere)
     }
 }
 
-TEST_P(EveryDataset, ChunkCountDoesNotChangePipelineEquivalence)
-{
-    Generated g(GetParam());
-    const size_t n = g.data.size();
-    for (size_t chunks : {2, 5}) {
-        TgDiffuser::Options serial_opts, piped_opts;
-        serial_opts.chunkSize = piped_opts.chunkSize =
-            n / chunks + 1;
-        serial_opts.pipeline = false;
-        piped_opts.pipeline = true;
-        TgDiffuser serial(g.data, g.adj, n, serial_opts);
-        TgDiffuser piped(g.data, g.adj, n, piped_opts);
-        serial.setMaxRevisit(4);
-        piped.setMaxRevisit(4);
-
-        std::vector<uint8_t> no_stable;
-        size_t st = 0;
-        while (st < n) {
-            const size_t a = serial.lastTolerableEnd(st, no_stable);
-            const size_t b = piped.lastTolerableEnd(st, no_stable);
-            ASSERT_EQ(a, b) << "chunks " << chunks;
-            st = a;
-        }
-    }
-}
-
 TEST_P(EveryDataset, EnduranceProfileWithinBatchBounds)
 {
     Generated g(GetParam());

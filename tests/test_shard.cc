@@ -338,7 +338,6 @@ TEST(WorkerGroup, WorkerDeathRecoversBitIdentically)
 
     expectSameTrajectory(ref, killed);
     EXPECT_EQ(killed.report.workerDeaths, 1u);
-    EXPECT_EQ(killed.report.workerRebalances, 1u);
     EXPECT_FALSE(killed.report.interrupted);
 }
 

@@ -232,7 +232,6 @@ TEST(ThreadSafety, ConcurrentMetricWritesDuringPipelinedWork)
     // worker threads exactly as in a pipelined epoch.
     auto pool = ThreadPool::globalShared();
     obs::MetricsRegistry registry;
-    kernels::bindMetrics(registry);
     obs::Counter &events = registry.counter("pipeline.events");
     obs::Histogram &lat = registry.histogram("pipeline.chunk_ms");
     constexpr size_t kItems = 20000;
@@ -251,7 +250,6 @@ TEST(ThreadSafety, ConcurrentMetricWritesDuringPipelinedWork)
     });
     done.store(true, std::memory_order_release);
     poller.join();
-    kernels::unbindMetrics();
     EXPECT_EQ(events.value(), kItems);
     EXPECT_EQ(lat.count(), kItems);
 }

@@ -3,18 +3,16 @@
  * Reproducible hot-path benchmark runner (README "Benchmarking the
  * compute kernels").
  *
- * Measures, with fixed seeds and pinned thread counts:
- *
- *  1. Blocked-GEMM throughput (GFLOP/s) across shapes and thread
- *     counts, against the retained naive seed kernel as the
- *     single-threaded baseline;
- *  2. End-to-end training throughput (events/sec) for one epoch of the
- *     TGN model under the Cascade policy on the small WIKI-scale
- *     dataset.
+ * Measures blocked-GEMM throughput (GFLOP/s) with fixed seeds across
+ * shapes and pinned thread counts, against the retained naive seed
+ * kernel as the single-threaded baseline, and fails if a small shape
+ * gets slower as threads are added (the parallel-cutover check).
+ * End-to-end training throughput and the buffer-pool hit ratio are
+ * perfbench's (perfbench/README.md), measured on realistic workloads.
  *
  * Each timing is a trimmed mean: one untimed warmup run, then `reps`
  * timed runs with the min and max dropped (when reps >= 3). Results
- * are written as BENCH_hotpath.json (schema cascade.bench_hotpath.v1,
+ * are written as BENCH_hotpath.json (schema cascade.bench_hotpath.v2,
  * documented in the README); `--smoke` shrinks shapes/reps to a
  * seconds-long CI smoke run.
  *
@@ -28,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "common.hh"
 #include "tensor/kernels.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
@@ -200,35 +197,13 @@ main(int argc, char **argv)
         }
     }
 
-    // --- End-to-end: one epoch of TGN/Cascade on the small dataset ---
-    bench::BenchConfig cfg; // fixed defaults, NOT env: reproducibility
-    cfg.scaleMultiplier = smoke ? 8.0 : 1.0;
-    cfg.epochs = 1;
-    cfg.dim = 16;
-    cfg.seed = 42;
-    auto ds = bench::load(wikiSpec(50.0 * cfg.scaleMultiplier), cfg);
-
-    kernels::resetStats();
-    Timer e2e;
-    TrainReport report = bench::runPolicy(*ds, "TGN",
-                                          bench::Policy::Cascade, cfg);
-    const double e2e_seconds = e2e.seconds();
-    const kernels::KernelStats ks = kernels::stats();
-    const double events_per_sec = report.wallSeconds > 0.0
-        ? static_cast<double>(ds->trainEnd) / report.wallSeconds
-        : 0.0;
-    std::printf("end_to_end TGN/Cascade: %zu events, %.3fs train "
-                "(%.0f events/s), %.3fs total\n",
-                ds->trainEnd, report.wallSeconds, events_per_sec,
-                e2e_seconds);
-
     std::FILE *f = std::fopen(out_path.c_str(), "w");
     if (!f) {
         std::fprintf(stderr, "bench_hotpath: cannot write %s\n",
                      out_path.c_str());
         return 1;
     }
-    std::fprintf(f, "{\n  \"schema\": \"cascade.bench_hotpath.v1\",\n");
+    std::fprintf(f, "{\n  \"schema\": \"cascade.bench_hotpath.v2\",\n");
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(f, "  \"reps\": %zu,\n", reps);
     std::fprintf(f, "  \"seed\": 1234,\n");
@@ -246,29 +221,7 @@ main(int argc, char **argv)
             r.naiveGflops > 0.0 ? r.gflops / r.naiveGflops : 0.0,
             i + 1 < results.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f,
-                 "  \"end_to_end\": {\"dataset\": \"WIKI\", "
-                 "\"model\": \"TGN\", \"policy\": \"Cascade\", "
-                 "\"epochs\": 1, \"events\": %zu, "
-                 "\"train_seconds\": %.4f, \"events_per_sec\": %.1f, "
-                 "\"val_loss\": %.5f},\n",
-                 ds->trainEnd, report.wallSeconds, events_per_sec,
-                 report.valLoss);
-    std::fprintf(f,
-                 "  \"kernel_stats\": {\"gemm_calls\": %llu, "
-                 "\"gemm_flops\": %llu, \"elementwise_calls\": %llu, "
-                 "\"pool_hits\": %llu, \"pool_misses\": %llu, "
-                 "\"pool_hit_rate\": %.4f}\n}\n",
-                 static_cast<unsigned long long>(ks.gemmCalls),
-                 static_cast<unsigned long long>(ks.gemmFlops),
-                 static_cast<unsigned long long>(ks.elementwiseCalls),
-                 static_cast<unsigned long long>(ks.poolHits),
-                 static_cast<unsigned long long>(ks.poolMisses),
-                 ks.poolHits + ks.poolMisses > 0
-                     ? static_cast<double>(ks.poolHits) /
-                           static_cast<double>(ks.poolHits + ks.poolMisses)
-                     : 0.0);
+    std::fprintf(f, "  ]\n}\n");
     if (std::fclose(f) != 0) {
         std::fprintf(stderr, "close failed: %s\n", out_path.c_str());
         return 1;

@@ -352,7 +352,7 @@ main(int argc, char **argv)
                 "util=%.3f val_loss=%.4f guard_trips=%zu "
                 "retries=%zu degraded=%s "
                 "checkpointing=%s workers=%zu shards=%zu "
-                "worker_deaths=%zu worker_rebalances=%zu "
+                "worker_deaths=%zu "
                 "out_of_core=%d rss_peak_mb=%.1f\n",
                 opts.dataset.c_str(), opts.model.c_str(),
                 opts.policy.c_str(), src->size(), opts.epochs,
@@ -361,7 +361,7 @@ main(int argc, char **argv)
                 r.deviceUtilization, r.valLoss, r.guardTrips,
                 r.checkpointRetries, r.degradedMode.c_str(),
                 r.checkpointingDisabled ? "disabled" : "on", r.workers,
-                r.shards, r.workerDeaths, r.workerRebalances,
+                r.shards, r.workerDeaths,
                 src->resident() ? 0 : 1, peakRssMb());
 
     if (!opts.csvPath.empty()) {

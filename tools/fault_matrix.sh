@@ -56,6 +56,39 @@ run_case() {
     echo "ok   [$name]"
 }
 
+# summary_matches <name> <logfile> <dumpfile> <field>=<counter> ...
+# The run's summary line and its --metrics-out dump must agree: each
+# summary field equals its counter in the registry (which must exist).
+summary_matches() {
+    name="$1"; log="$WORK/$2"; dump="$WORK/$3"
+    shift 3
+    if python3 - "$log" "$dump" "$@" <<'PY'
+import json
+import sys
+
+log, dump, pairs = sys.argv[1], sys.argv[2], sys.argv[3:]
+lines = [l for l in open(log) if l.startswith("dataset=")]
+if not lines:
+    sys.exit("no summary line in " + log)
+fields = dict(kv.split("=", 1) for kv in lines[-1].split())
+counters = json.load(open(dump))["counters"]
+bad = 0
+for pair in pairs:
+    field, counter = pair.split("=", 1)
+    if counter not in counters or int(fields[field]) != counters[counter]:
+        print("    %s=%s but counter %s is %s" % (
+            field, fields.get(field), counter, counters.get(counter)))
+        bad += 1
+sys.exit(1 if bad else 0)
+PY
+    then
+        echo "ok   [$name-registry]"
+    else
+        echo "FAIL [$name-registry]: summary disagrees with $dump" >&2
+        FAILURES=$((FAILURES + 1))
+    fi
+}
+
 COMMON="--dataset wiki --scale 400 --epochs 1 --seed 42"
 
 # 1. The disk never recovers: checkpoint writes retry, then the run
@@ -97,7 +130,9 @@ fi
 # 3. Injected NaN loss: guard trips, rollback recovers, run completes.
 run_case nan-rollback 0 "guard_trips=1" nan.log -- \
     CASCADE_FAULT_NAN_BATCH=2 -- \
-    $COMMON --policy cascade --checkpoint-every 2
+    $COMMON --policy cascade --checkpoint-every 2 \
+    --metrics-out "$WORK/nan.json"
+summary_matches nan-rollback nan.log nan.json guard_trips=guard.trips
 
 # 4. Garbage fault value: strict parsing refuses to run.
 run_case garbage-env 1 "invalid integer" garbage.log -- \
@@ -127,7 +162,10 @@ run_case torn-write-resume 1 "missing or corrupt" torn_resume.log -- -- \
 run_case enospc-retry 0 "retries=1" enospc.log -- \
     CASCADE_FAULT_ENOSPC_NTH=1 -- \
     $COMMON --policy cascade --checkpoint "$WORK/ck_enospc.bin" \
-    --checkpoint-every 1 --retry-base-ms 0
+    --checkpoint-every 1 --retry-base-ms 0 \
+    --metrics-out "$WORK/enospc.json"
+summary_matches enospc-retry enospc.log enospc.json \
+    retries=checkpoint.retries
 
 # 8. One short write (64 of N bytes reach the disk): the checked
 #    write path surfaces it as a failure; one retry recovers.
@@ -159,7 +197,10 @@ run_case older-gen-resume 0 "generation 1" older_resume.log -- -- \
 #     on the books.
 run_case worker-kill-recovers 0 "worker_deaths=1" worker_kill.log -- \
     CASCADE_FAULT_WORKER_KILL_NTH=4@1 -- \
-    $COMMON --policy cascade --workers 2 --shards 4
+    $COMMON --policy cascade --workers 2 --shards 4 \
+    --metrics-out "$WORK/worker_kill.json"
+summary_matches worker-kill-recovers worker_kill.log worker_kill.json \
+    worker_deaths=worker.deaths
 
 # 11. Worker hangs instead of dying: no EOF ever arrives, so only the
 #     heartbeat watchdog can notice. The stall (2s) dwarfs the
