@@ -5,7 +5,7 @@
  * Every consumer of event data (TemporalAdjacency, the dependency
  * tables, the batchers, TgnnModel, TrainingSession, the serve path)
  * reads through this interface instead of holding an EventSequence
- * by reference. Three implementations cover the deployment shapes:
+ * by reference. Two implementations cover the deployment shapes:
  *
  *  - VectorEventSource: the classic fully-resident sequence (borrowed
  *    or owned). `resident()` exposes the underlying EventSequence so
@@ -13,8 +13,6 @@
  *  - EventLogSource: an mmap-backed chunked log (graph/eventlog.hh)
  *    for streams larger than RAM; `hintConsumed` drops pages behind a
  *    sequential training cursor so peak RSS stays bounded.
- *  - A live socket stream is the same interface fed by the serve
- *    writer's sliding window (src/serve/).
  *
  * The accessors return values/pointers that are bit-identical to the
  * in-memory path for the same logical data, which is what keeps the

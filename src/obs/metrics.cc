@@ -1,7 +1,6 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 
 namespace cascade {
@@ -253,39 +252,6 @@ MetricsRegistry::toJson() const
     out += first ? "}\n" : "\n  }\n";
     out += "}\n";
     return out;
-}
-
-std::string
-MetricsRegistry::toText() const
-{
-    const MetricsSnapshot s = snapshot();
-    std::string out;
-    char buf[256];
-    for (const auto &[name, v] : s.counters) {
-        std::snprintf(buf, sizeof buf, "%-40s %" PRIu64 "\n",
-                      name.c_str(), v);
-        out += buf;
-    }
-    for (const auto &[name, v] : s.gauges) {
-        std::snprintf(buf, sizeof buf, "%-40s %.6g\n", name.c_str(), v);
-        out += buf;
-    }
-    for (const auto &h : s.histograms) {
-        std::snprintf(buf, sizeof buf,
-                      "%-40s count=%" PRIu64 " sum=%.6g min=%.6g "
-                      "max=%.6g\n",
-                      h.name.c_str(), h.count, h.sum, h.min, h.max);
-        out += buf;
-    }
-    return out;
-}
-
-bool
-TextSink::write(const MetricsRegistry &registry)
-{
-    std::FILE *out = out_ ? out_ : stderr;
-    const std::string text = registry.toText();
-    return std::fwrite(text.data(), 1, text.size(), out) == text.size();
 }
 
 bool

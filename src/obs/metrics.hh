@@ -140,9 +140,6 @@ class MetricsRegistry
     /** JSON object {"counters":{…},"gauges":{…},"histograms":{…}}. */
     std::string toJson() const;
 
-    /** Human-readable `name value` lines, one instrument per line. */
-    std::string toText() const;
-
   private:
     /** Guards the instrument directories only. The instruments
      *  themselves are internally synchronized (atomics / their own
@@ -157,32 +154,13 @@ class MetricsRegistry
         CASCADE_GUARDED_BY(m_);
 };
 
-/** Pluggable metrics exporter (text console, JSON file, …). */
-class MetricsSink
-{
-  public:
-    virtual ~MetricsSink() = default;
-    /** @return false when the sink could not persist the snapshot */
-    virtual bool write(const MetricsRegistry &registry) = 0;
-};
-
-/** Writes toText() to a FILE* (default stderr); never owns it. */
-class TextSink : public MetricsSink
-{
-  public:
-    explicit TextSink(std::FILE *out = nullptr) : out_(out) {}
-    bool write(const MetricsRegistry &registry) override;
-
-  private:
-    std::FILE *out_;
-};
-
 /** Atomically replaces `path` with the registry's JSON document. */
-class JsonFileSink : public MetricsSink
+class JsonFileSink
 {
   public:
     explicit JsonFileSink(std::string path) : path_(std::move(path)) {}
-    bool write(const MetricsRegistry &registry) override;
+    /** @return false when the file could not be written */
+    bool write(const MetricsRegistry &registry);
 
   private:
     std::string path_;

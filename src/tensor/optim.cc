@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "tensor/tensor_io.hh"
 #include "util/logging.hh"
 
 namespace cascade {
@@ -88,41 +87,6 @@ Adam::step()
                 lr_ * mhat / (std::sqrt(vhat) + eps_));
         }
     }
-}
-
-void
-Adam::saveState(ByteWriter &w) const
-{
-    w.u64(static_cast<uint64_t>(t_));
-    w.u64(m_.size());
-    for (size_t i = 0; i < m_.size(); ++i) {
-        writeTensor(w, m_[i]);
-        writeTensor(w, v_[i]);
-    }
-}
-
-bool
-Adam::loadState(ByteReader &r)
-{
-    uint64_t t = 0, count = 0;
-    if (!r.u64(t) || !r.u64(count) || count != m_.size())
-        return false;
-    std::vector<Tensor> m, v;
-    m.reserve(count);
-    v.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-        Tensor mi, vi;
-        if (!readTensorExpect(r, m_[i].rows(), m_[i].cols(), mi) ||
-            !readTensorExpect(r, v_[i].rows(), v_[i].cols(), vi)) {
-            return false;
-        }
-        m.push_back(std::move(mi));
-        v.push_back(std::move(vi));
-    }
-    t_ = static_cast<long>(t);
-    m_ = std::move(m);
-    v_ = std::move(v);
-    return true;
 }
 
 } // namespace cascade

@@ -9,14 +9,12 @@
 #ifndef CASCADE_TENSOR_OPTIM_HH
 #define CASCADE_TENSOR_OPTIM_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "tensor/variable.hh"
 
 namespace cascade {
-
-class ByteWriter;
-class ByteReader;
 
 /** Common optimizer interface. */
 class Optimizer
@@ -59,27 +57,22 @@ class Adam : public Optimizer
          float beta1 = 0.9f, float beta2 = 0.999f, float eps = 1e-8f);
     void step() override;
 
-    /** Updates applied so far (the bias-correction clock). */
-    long stepCount() const { return t_; }
-
     /**
-     * Serialize the moment estimates and step count — resuming Adam
-     * without them restarts bias correction and changes the training
-     * trajectory.
+     * @name Resume state
+     * Updates applied so far (the bias-correction clock) and the first
+     * and second moments, one tensor per parameter in parameter order.
+     * Resuming Adam without them restarts bias correction and changes
+     * the training trajectory; a checkpoint copies them in place.
      */
-    void saveState(ByteWriter &w) const;
-
-    /**
-     * Restore moments/step count written by saveState. All tensors
-     * are staged and shape-checked against the current parameters
-     * before anything is applied.
-     * @return false on mismatch or short payload (state untouched)
-     */
-    bool loadState(ByteReader &r);
+    /** @{ */
+    int64_t &stepCount() { return t_; }
+    std::vector<Tensor> &firstMoments() { return m_; }
+    std::vector<Tensor> &secondMoments() { return v_; }
+    /** @} */
 
   private:
     float lr_, beta1_, beta2_, eps_;
-    long t_ = 0;
+    int64_t t_ = 0;
     std::vector<Tensor> m_;
     std::vector<Tensor> v_;
 };

@@ -99,9 +99,7 @@ class Tensor
     std::vector<float> data_;
 };
 
-// Matrix products live in tensor/kernels.hh (kernels::gemm); the old
-// ad-hoc raw-matmul entry points survive only as deprecated wrappers
-// declared there.
+// Matrix products live in tensor/kernels.hh (kernels::gemm).
 
 /**
  * Cosine similarity between row ra of a and row rb of b.

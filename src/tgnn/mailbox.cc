@@ -3,30 +3,9 @@
 #include <algorithm>
 #include <cstring>
 
-#include "util/binio.hh"
 #include "util/logging.hh"
 
 namespace cascade {
-
-namespace {
-
-/** An array section's bytes as they lie in memory. */
-template <typename T>
-void
-writeArray(ByteWriter &w, const std::vector<T> &v)
-{
-    if (!v.empty())
-        w.bytes(v.data(), v.size() * sizeof(T));
-}
-
-template <typename T>
-bool
-readArray(ByteReader &r, std::vector<T> &v)
-{
-    return v.empty() || r.bytes(v.data(), v.size() * sizeof(T));
-}
-
-} // namespace
 
 Mailbox::Mailbox(size_t num_nodes, size_t slots, size_t msg_dim)
     : slots_(slots), msgDim_(msg_dim),
@@ -87,40 +66,6 @@ Mailbox::bytes() const
 {
     return payload_.size() * sizeof(float) + ts_.size() * sizeof(double) +
            count_.size() * sizeof(uint64_t);
-}
-
-void
-Mailbox::saveState(ByteWriter &w) const
-{
-    w.u64(count_.size());
-    w.u64(slots_);
-    w.u64(msgDim_);
-    writeArray(w, payload_);
-    writeArray(w, ts_);
-    writeArray(w, count_);
-}
-
-bool
-Mailbox::loadState(ByteReader &r)
-{
-    uint64_t nodes = 0, slots = 0, dim = 0;
-    if (!r.u64(nodes) || nodes != count_.size() || !r.u64(slots) ||
-        slots != slots_ || !r.u64(dim) || dim != msgDim_) {
-        return false;
-    }
-    // Any count is safe to adopt: slots are taken `% slots_` and the
-    // valid ones capped at slots_.
-    std::vector<float> payload(payload_.size());
-    std::vector<double> ts(ts_.size());
-    std::vector<uint64_t> count(count_.size());
-    if (!readArray(r, payload) || !readArray(r, ts) ||
-        !readArray(r, count)) {
-        return false;
-    }
-    payload_ = std::move(payload);
-    ts_ = std::move(ts);
-    count_ = std::move(count);
-    return true;
 }
 
 } // namespace cascade

@@ -22,9 +22,6 @@
 
 namespace cascade {
 
-class ByteWriter;
-class ByteReader;
-
 /**
  * Ring buffer of the most recent messages per node, stored densely
  * like MemoryStore: payloads as [node x slot x msgDim] floats, their
@@ -84,17 +81,10 @@ class Mailbox
     /** Resident bytes of the three arrays (Figure 13c accounting). */
     size_t bytes() const;
 
-    /** Serialize the dimensions and the three arrays (checkpointing). */
-    void saveState(ByteWriter &w) const;
-
-    /**
-     * Restore state written by saveState; staged and dimension-
-     * checked before anything is applied.
-     * @return false on mismatch or short payload (state untouched)
-     */
-    bool loadState(ByteReader &r);
-
   private:
+    /** Lists the three arrays in its checkpoint section (stateArrays). */
+    friend class TgnnModel;
+
     size_t slots_;
     size_t msgDim_;
     std::vector<float> payload_; ///< N x slots x msgDim

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "tensor/kernels.hh"
-#include "tensor/tensor_io.hh"
 #include "util/logging.hh"
 
 namespace cascade {
@@ -72,34 +71,6 @@ MemoryStore::initRandom(Rng &rng, float stddev)
     for (size_t i = 0; i < mem_.size(); ++i)
         mem_.data()[i] = static_cast<float>(rng.gaussian(0.0, stddev));
     std::fill(lastUpdate_.begin(), lastUpdate_.end(), 0.0);
-}
-
-void
-MemoryStore::saveState(ByteWriter &w) const
-{
-    writeTensor(w, mem_);
-    w.u64(lastUpdate_.size());
-    if (!lastUpdate_.empty()) {
-        w.bytes(lastUpdate_.data(),
-                lastUpdate_.size() * sizeof(double));
-    }
-}
-
-bool
-MemoryStore::loadState(ByteReader &r)
-{
-    Tensor mem;
-    if (!readTensorExpect(r, mem_.rows(), mem_.cols(), mem))
-        return false;
-    uint64_t n = 0;
-    if (!r.u64(n) || n != lastUpdate_.size())
-        return false;
-    std::vector<double> ts(static_cast<size_t>(n), 0.0);
-    if (!ts.empty() && !r.bytes(ts.data(), ts.size() * sizeof(double)))
-        return false;
-    mem_ = std::move(mem);
-    lastUpdate_ = std::move(ts);
-    return true;
 }
 
 size_t

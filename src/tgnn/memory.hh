@@ -18,9 +18,6 @@
 
 namespace cascade {
 
-class ByteWriter;
-class ByteReader;
-
 /**
  * Dense per-node memory vectors with last-update timestamps.
  *
@@ -78,17 +75,10 @@ class MemoryStore
     /** Approximate resident bytes (Figure 13c accounting). */
     size_t bytes() const;
 
-    /** Serialize memories and update timestamps (checkpointing). */
-    void saveState(ByteWriter &w) const;
-
-    /**
-     * Restore state written by saveState; staged and dimension-
-     * checked before anything is applied.
-     * @return false on mismatch or short payload (state untouched)
-     */
-    bool loadState(ByteReader &r);
-
   private:
+    /** Lists both arrays in its checkpoint section (stateArrays). */
+    friend class TgnnModel;
+
     Tensor mem_;
     std::vector<double> lastUpdate_;
 };

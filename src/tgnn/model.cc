@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "tensor/ops.hh"
-#include "tgnn/serialize.hh"
+#include "util/binio.hh"
 #include "util/logging.hh"
 
 namespace cascade {
@@ -27,6 +27,22 @@ uniqueNodes(std::initializer_list<const std::vector<NodeId> *> lists)
 }
 
 } // namespace
+
+/** Exception-safe: a throwing forward leaves no dangling RNG behind. */
+class TgnnModel::RngScope
+{
+  public:
+    RngScope(TgnnModel &model, Rng &rng) : model_(model)
+    {
+        model_.extRng_ = &rng;
+    }
+    ~RngScope() { model_.extRng_ = nullptr; }
+    RngScope(const RngScope &) = delete;
+    RngScope &operator=(const RngScope &) = delete;
+
+  private:
+    TgnnModel &model_;
+};
 
 TgnnModel::TgnnModel(const ModelConfig &config, size_t num_nodes,
                      size_t edge_feat_dim, uint64_t seed)
@@ -111,57 +127,85 @@ TgnnModel::parameters() const
     return params;
 }
 
+std::vector<TgnnModel::StateArray>
+TgnnModel::stateArrays()
+{
+    std::vector<StateArray> out;
+    const auto add = [&out](auto &array) {
+        out.push_back({array.data(), array.size() * sizeof(*array.data())});
+    };
+    for (Variable &p : parameters())
+        add(p.valueMutable());
+    out.push_back({&optimizer_->stepCount(), sizeof(int64_t)});
+    for (Tensor &m : optimizer_->firstMoments())
+        add(m);
+    for (Tensor &v : optimizer_->secondMoments())
+        add(v);
+    add(memory_.mem_);
+    add(memory_.lastUpdate_);
+    add(mailbox_.payload_);
+    add(mailbox_.ts_);
+    add(mailbox_.count_);
+    return out;
+}
+
 void
 TgnnModel::saveTrainingState(ByteWriter &w) const
 {
-    writeParametersBlob(w, parameters());
-    optimizer_->saveState(w);
+    // Saving only reads through the spans.
+    const std::vector<StateArray> arrays =
+        const_cast<TgnnModel *>(this)->stateArrays();
+    w.u64(arrays.size());
+    for (const StateArray &a : arrays)
+        w.u64(a.bytes);
+    for (const StateArray &a : arrays) {
+        if (a.bytes > 0)
+            w.bytes(a.data, a.bytes);
+    }
+    // Field by field, so struct padding never reaches the payload.
     const Rng::State rs = rng_.state();
-    for (size_t i = 0; i < 4; ++i)
-        w.u64(rs.s[i]);
+    for (uint64_t word : rs.s)
+        w.u64(word);
     w.f64(rs.cachedGaussian);
     w.u8(rs.hasCachedGaussian ? 1 : 0);
-    memory_.saveState(w);
-    mailbox_.saveState(w);
 }
 
 bool
 TgnnModel::loadTrainingState(ByteReader &r)
 {
-    // Stage every section before applying any of it: a checkpoint for
-    // a differently configured model must leave this one untouched.
-    std::vector<Variable> params = parameters();
-    std::vector<Tensor> staged_params;
-    if (!readParametersStaged(r, params, staged_params))
+    // Check the count, every length and the size before the first
+    // copy: a section written by a differently configured model
+    // differs in the count or in some length, and a failed load must
+    // leave this model untouched.
+    const std::vector<StateArray> arrays = stateArrays();
+    uint64_t count = 0;
+    if (!r.u64(count) || count != arrays.size())
+        return false;
+    size_t total = 0;
+    for (const StateArray &a : arrays) {
+        uint64_t bytes = 0;
+        if (!r.u64(bytes) || bytes != a.bytes)
+            return false;
+        total += a.bytes;
+    }
+    constexpr size_t kRngBytes =
+        4 * sizeof(uint64_t) + sizeof(double) + sizeof(uint8_t);
+    if (r.remaining() != total + kRngBytes)
         return false;
 
-    Adam staged_opt = *optimizer_;
-    if (!staged_opt.loadState(r))
-        return false;
-
+    // Every read below is in bounds.
+    for (const StateArray &a : arrays) {
+        if (a.bytes > 0)
+            r.bytes(a.data, a.bytes);
+    }
     Rng::State rs;
     uint8_t has_cached = 0;
-    for (size_t i = 0; i < 4; ++i) {
-        if (!r.u64(rs.s[i]))
-            return false;
-    }
-    if (!r.f64(rs.cachedGaussian) || !r.u8(has_cached))
-        return false;
+    for (uint64_t &word : rs.s)
+        r.u64(word);
+    r.f64(rs.cachedGaussian);
+    r.u8(has_cached);
     rs.hasCachedGaussian = has_cached != 0;
-
-    MemoryStore staged_mem = memory_;
-    if (!staged_mem.loadState(r))
-        return false;
-    Mailbox staged_mail = mailbox_;
-    if (!staged_mail.loadState(r))
-        return false;
-
-    for (size_t i = 0; i < params.size(); ++i)
-        params[i].valueMutable() = std::move(staged_params[i]);
-    *optimizer_ = std::move(staged_opt);
     rng_.setState(rs);
-    memory_ = std::move(staged_mem);
-    mailbox_ = std::move(staged_mail);
     return true;
 }
 
@@ -189,13 +233,6 @@ TgnnModel::resetState()
         Rng feat(seed_ + 1);
         memory_.initRandom(feat, 0.1f);
     }
-}
-
-void
-TgnnModel::restoreState(State s)
-{
-    memory_ = std::move(s.mem);
-    mailbox_ = std::move(s.mail);
 }
 
 TgnnModel::FreshMemory
@@ -556,14 +593,7 @@ TgnnModel::stepForwardWithRng(const EventSource &data,
                               const TemporalAdjacency &adj, size_t st,
                               size_t ed, Rng &rng)
 {
-    // Exception-safe override scope: a throwing forward must not
-    // leave a dangling RNG pointer behind.
-    struct RngScope
-    {
-        TgnnModel &m;
-        ~RngScope() { m.extRng_ = nullptr; }
-    } scope{*this};
-    extRng_ = &rng;
+    RngScope scope(*this, rng);
     return stepForward(data, adj, st, ed);
 }
 
@@ -712,6 +742,8 @@ TgnnModel::embedNodes(const std::vector<NodeId> &nodes, double at_time,
                       const TemporalAdjacency &adj, EventIdx before)
 {
     CASCADE_CHECK(!nodes.empty(), "embedNodes: empty node list");
+    Rng query_rng(static_cast<uint64_t>(before));
+    RngScope scope(*this, query_rng);
     FreshMemory fresh = computeFreshMemory(nodes, at_time);
     std::vector<double> times(nodes.size(), at_time);
     StepResult scratch;
@@ -729,6 +761,8 @@ TgnnModel::scoreLinks(const std::vector<NodeId> &srcs,
 {
     CASCADE_CHECK(!srcs.empty() && srcs.size() == dsts.size(),
                   "scoreLinks: need equal, non-empty endpoint lists");
+    Rng query_rng(static_cast<uint64_t>(before));
+    RngScope scope(*this, query_rng);
     FreshMemory fs = computeFreshMemory(srcs, at_time);
     FreshMemory fd = computeFreshMemory(dsts, at_time);
     std::vector<double> times(srcs.size(), at_time);

@@ -71,6 +71,9 @@ struct StepResult
     double gradNorm = 0.0;
 };
 
+class ByteWriter;
+class ByteReader;
+
 /** A Table 1 TGNN instance bound to a node universe. */
 class TgnnModel
 {
@@ -269,6 +272,10 @@ class TgnnModel
      * module, and returns detached values. Model state is not
      * modified.
      *
+     * Uniform neighbor samples come from an RNG seeded from `before`
+     * alone, never the training RNG, so the answer depends only on
+     * parameters, state and query: repeated calls are bit-identical.
+     *
      * @param nodes   nodes to embed
      * @param at_time embedding timestamp (drives Δt terms)
      * @param before  only events with index < before are visible
@@ -292,9 +299,9 @@ class TgnnModel
      * Link-prediction logits for the aligned pairs (srcs[i],
      * dsts[i]) at `at_time`: the embedNodes embedding path for both
      * endpoints followed by the trained decoder — the serve engine's
-     * query readout. Like embedNodes this draws no RNG and mutates
-     * no state, so repeated calls over one snapshot are
-     * bit-identical.
+     * query readout. Like embedNodes it samples from an RNG seeded
+     * from `before` alone and mutates no state, so repeated calls
+     * over one snapshot are bit-identical.
      * @return |srcs| x 1 logit column
      */
     Tensor scoreLinks(const std::vector<NodeId> &srcs,
@@ -312,7 +319,18 @@ class TgnnModel
         Mailbox mail;
     };
     State saveState() const { return {memory_, mailbox_}; }
-    void restoreState(State s);
+
+    /**
+     * Copy a snapshot into this model's memory and mailbox. The
+     * arrays are copy-assigned in place, so a snapshot of this
+     * model's shape allocates nothing.
+     */
+    void
+    restoreState(const State &s)
+    {
+        memory_ = s.mem;
+        mailbox_ = s.mail;
+    }
 
     const MemoryStore &memory() const { return memory_; }
     const ModelConfig &config() const { return config_; }
@@ -330,15 +348,17 @@ class TgnnModel
     std::vector<Variable> parameters() const;
 
     /**
-     * Serialize everything a bit-identical mid-run resume needs:
-     * parameters, Adam moments, the sampling RNG, node memory and
-     * the mailbox.
+     * Serialize everything a bit-identical mid-run resume needs: the
+     * stateArrays() list (parameters, Adam's clock and moments, node
+     * memory and the mailbox) as a count, the byte lengths and the
+     * bytes, then the sampling RNG field by field.
      */
     void saveTrainingState(ByteWriter &w) const;
 
     /**
-     * Restore state written by saveTrainingState. Every section is
-     * staged and validated before any model state is overwritten.
+     * Restore state written by saveTrainingState. The count, every
+     * length and the remaining size are checked before the first byte
+     * is copied straight into the live arrays.
      * @return false on mismatch/corruption (model untouched)
      */
     bool loadTrainingState(ByteReader &r);
@@ -350,6 +370,24 @@ class TgnnModel
     size_t stateBytes() const;
 
   private:
+    /** One array of the checkpoint section, in place. */
+    struct StateArray
+    {
+        void *data;
+        size_t bytes;
+    };
+
+    /**
+     * The checkpoint section's arrays in file order: each parameter,
+     * Adam's clock, its first and second moments per parameter, node
+     * memory and update times, and the mailbox's payloads, timestamps
+     * and push counts. The spans point into the arrays the components
+     * own; the list is the one place that knows the section's layout.
+     * Any restored push count is safe: slots are taken modulo the
+     * slot count and valid ones capped at it.
+     */
+    std::vector<StateArray> stateArrays();
+
     /** Fresh (message-consumed) memories for a node list. */
     struct FreshMemory
     {
@@ -383,13 +421,19 @@ class TgnnModel
     /** Sampling RNG for the current forward (external override). */
     Rng &activeRng() { return extRng_ ? *extRng_ : rng_; }
 
+    /** Makes an external RNG the sampling RNG until scope exit. */
+    class RngScope;
+
     ModelConfig config_;
     size_t numNodes_;
     size_t edgeFeatDim_;
     size_t msgDim_;     ///< mailbox payload width
     size_t updInDim_;   ///< UPDT input width
     Rng rng_;
-    /** Non-null only inside stepForwardWithRng (never serialized). */
+    /**
+     * Non-null only inside stepForwardWithRng and the query readouts
+     * (never serialized).
+     */
     Rng *extRng_ = nullptr;
     uint64_t seed_;
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "tensor/tensor_io.hh"
 #include "tgnn/model.hh"
 
 namespace cascade {
@@ -12,6 +11,37 @@ namespace {
 constexpr uint32_t kMagic = 0x43534b50;  // "CSKP"
 // v2: CRC32 footer + atomic commit via util/binio.
 constexpr uint32_t kVersion = 2;
+
+/** Append rows (u64), cols (u64), then the row-major floats. */
+void
+writeTensor(ByteWriter &w, const Tensor &t)
+{
+    w.u64(t.rows());
+    w.u64(t.cols());
+    if (t.size() > 0)
+        w.bytes(t.data(), t.size() * sizeof(float));
+}
+
+/**
+ * Read a tensor that must be exactly rows x cols: the in-memory
+ * target dictates the shape, and a mismatch means the file belongs to
+ * a differently configured model.
+ * @return false on shape mismatch or short payload (out untouched)
+ */
+bool
+readTensorExpect(ByteReader &r, size_t rows, size_t cols, Tensor &out)
+{
+    uint64_t frows = 0, fcols = 0;
+    if (!r.u64(frows) || !r.u64(fcols) || frows != rows ||
+        fcols != cols) {
+        return false;
+    }
+    Tensor t(rows, cols);
+    if (t.size() > 0 && !r.bytes(t.data(), t.size() * sizeof(float)))
+        return false;
+    out = std::move(t);
+    return true;
+}
 
 } // namespace
 
@@ -24,31 +54,19 @@ writeParametersBlob(ByteWriter &w, const std::vector<Variable> &params)
 }
 
 bool
-readParametersStaged(ByteReader &r, const std::vector<Variable> &params,
-                     std::vector<Tensor> &staged)
-{
-    uint32_t count = 0;
-    if (!r.u32(count) || count != params.size())
-        return false;
-    staged.clear();
-    staged.reserve(count);
-    for (const auto &p : params) {
-        Tensor t;
-        if (!readTensorExpect(r, p.value().rows(), p.value().cols(), t))
-            return false;
-        staged.push_back(std::move(t));
-    }
-    return true;
-}
-
-bool
 readParametersBlob(ByteReader &r, std::vector<Variable> params)
 {
     // Read everything into staging first: a half-applied checkpoint
     // would be worse than a failed load.
-    std::vector<Tensor> staged;
-    if (!readParametersStaged(r, params, staged))
+    uint32_t count = 0;
+    if (!r.u32(count) || count != params.size())
         return false;
+    std::vector<Tensor> staged(count);
+    for (size_t i = 0; i < params.size(); ++i) {
+        const Tensor &v = params[i].value();
+        if (!readTensorExpect(r, v.rows(), v.cols(), staged[i]))
+            return false;
+    }
     for (size_t i = 0; i < params.size(); ++i)
         params[i].valueMutable() = std::move(staged[i]);
     return true;

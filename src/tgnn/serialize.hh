@@ -13,9 +13,9 @@
  * silently corrupting weights.
  *
  * The blob-level helpers (writeParametersBlob / readParametersBlob)
- * are the building blocks the full TrainingCheckpoint
- * (train/checkpoint.hh) composes with optimizer, memory, mailbox and
- * batcher state.
+ * also clone parameters into a serve reader's replica. Training
+ * checkpoints (train/checkpoint.hh) use their own model section,
+ * TgnnModel::saveTrainingState.
  */
 
 #ifndef CASCADE_TGNN_SERIALIZE_HH
@@ -42,16 +42,6 @@ void writeParametersBlob(ByteWriter &w, const std::vector<Variable> &params);
  *         untouched)
  */
 bool readParametersBlob(ByteReader &r, std::vector<Variable> params);
-
-/**
- * Stage a parameter blob without applying it: validates count and
- * shapes against `params` and fills `staged` with the tensors. Used
- * by multi-section loads that must validate everything before
- * mutating anything.
- */
-bool readParametersStaged(ByteReader &r,
-                          const std::vector<Variable> &params,
-                          std::vector<Tensor> &staged);
 
 /**
  * Write a parameter list to a file (atomic, CRC-protected).

@@ -10,15 +10,15 @@ namespace cascade {
 namespace {
 
 constexpr uint32_t kMagic = 0x4353434b; // "CSCK"
-constexpr uint32_t kVersion = 4;
+constexpr uint32_t kVersion = 5;
 
 } // namespace
 
 std::string
 encodeCheckpoint(const TgnnModel &model, const Batcher &batcher,
-                 const TrainerCursor &cursor)
+                 const TrainerCursor &cursor, std::string storage)
 {
-    ByteWriter w;
+    ByteWriter w(std::move(storage));
     w.u32(kMagic);
     w.u32(kVersion);
 
@@ -113,9 +113,9 @@ decodeCheckpoint(const std::string &payload, TgnnModel &model,
         return false;
     }
 
-    // Apply the model first: loadTrainingState stages every section
-    // internally, so a config mismatch (the common failure) rejects
-    // before anything mutates.
+    // Apply the model first: loadTrainingState checks every length
+    // before it copies a byte, so a config mismatch (the common
+    // failure) rejects before anything mutates.
     if (!model.loadTrainingState(model_blob)) {
         CASCADE_LOG("checkpoint: model state does not match this "
                     "model configuration");

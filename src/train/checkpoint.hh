@@ -17,18 +17,23 @@
  * On-disk framing (written through util/binio.hh, so the file also
  * carries a CRC32 footer and is committed atomically):
  *
- *   u32 magic "CSCK"   u32 version (4; other versions are refused)
+ *   u32 magic "CSCK"   u32 version (5; other versions are refused)
  *   cursor: u64 epoch, st, batchIndex, globalBatch, totalBatches,
  *           totalEvents, epochEvents; f64 lossSum
  *   u64 #completed epochs, then per epoch the EpochStats fields
  *           except wallSeconds (restored epochs read 0)
  *   str batcher name (validated against the live policy on load)
  *   str batcher state blob
- *   str model state blob
+ *   str model state blob: u64 #arrays, one u64 byte length per
+ *           array, the arrays, then the RNG fields (4 x u64, f64, u8)
  *
- * Decoding stages every section before applying any: a truncated,
- * corrupt or mismatched checkpoint leaves the model, optimizer and
- * batcher untouched.
+ * Decoding checks the header, cursor and batcher name, then applies
+ * the model section (its array count, every length and its size are
+ * checked before the first copy) and then the batcher section
+ * (staged). A truncated or corrupt payload, or one written for another
+ * model configuration or policy, leaves the model, optimizer and
+ * batcher untouched; a batcher section that fails after a matching
+ * model section leaves the model already overwritten.
  *
  * Generations (crash survival beyond one file): a checkpoint path
  * `ck.bin` is the head of a rotating family —
@@ -84,10 +89,15 @@ struct TrainerCursor
     std::vector<EpochStats> completed;
 };
 
-/** Serialize model + batcher + cursor into a checkpoint payload. */
+/**
+ * Serialize model + batcher + cursor into a checkpoint payload,
+ * written into `storage`'s memory: pass the previous payload to reuse
+ * its capacity instead of allocating a new one.
+ */
 std::string encodeCheckpoint(const TgnnModel &model,
                              const Batcher &batcher,
-                             const TrainerCursor &cursor);
+                             const TrainerCursor &cursor,
+                             std::string storage = std::string());
 
 /**
  * Apply a payload produced by encodeCheckpoint. Validates the magic,

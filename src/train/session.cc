@@ -269,8 +269,6 @@ TrainingSession::runBatch()
     ++cur_.totalBatches;
     ++cur_.globalBatch;
     cur_.st = ed;
-    metrics_->counter("train.batches").add(1);
-    metrics_->counter("train.events").add(r.numEvents);
     metrics_->counter("train.sampled_neighbors").add(r.sampledNeighbors);
     metrics_->histogram("train.batch_size")
         .record(static_cast<double>(r.numEvents));
@@ -319,8 +317,9 @@ TrainingSession::snapshotIfDue()
     StageScope stage(metrics_->histogram("stage.checkpoint.seconds"),
                      *trace_, "checkpoint");
     joinPendingWrite();
-    lastGood_ = encodeCheckpoint(model_, batcher_, cur_);
-    metrics_->counter("checkpoint.snapshots").add(1);
+    // Encoded into the previous snapshot's storage: no allocation.
+    lastGood_ =
+        encodeCheckpoint(model_, batcher_, cur_, std::move(lastGood_));
     if (options_.checkpointPath.empty())
         return;
     // No copy: the writer reads lastGood_, which stays unchanged
@@ -412,7 +411,6 @@ TrainingSession::finishEpoch(double epoch_wall, double dev_before)
     es.stableUpdateRatio = batcher_.stableUpdateRatio();
     cur_.completed.push_back(es);
     report_.stableUpdateRatio = batcher_.stableUpdateRatio();
-    metrics_->counter("train.epochs").add(1);
     metrics_->histogram("epoch.wall_seconds").record(epoch_wall);
 
     ++cur_.epoch;

@@ -30,7 +30,7 @@
  * The session is the registry's one writer of run facts. Model,
  * batcher, guard, device model and kernels hold no instruments; the
  * session records what it observes as it happens (stage seconds,
- * batch and event counts, each batch's modeled device seconds),
+ * batch sizes, each batch's modeled device seconds),
  * publishes the components' end-of-run state once after the eval
  * stage (guard trips, device utilization, batcher preprocessing and
  * state bytes, model sizes, the change in kernels::stats() over the
@@ -154,7 +154,8 @@ class TrainingSession
 
     /**
      * Stage `checkpoint`: join the previous write, encode the cadence
-     * snapshot into lastGood_, and launch its write in the background.
+     * snapshot into lastGood_'s storage, and launch its write in the
+     * background.
      */
     void snapshotIfDue();
 
@@ -217,7 +218,8 @@ class TrainingSession
     /**
      * In-memory rollback target and the payload of the write in
      * flight. The writer only reads it, as does a rollback's decode,
-     * so the two may overlap; it is reassigned only after a join.
+     * so the two may overlap; it is reassigned only after a join, and
+     * each cadence snapshot is encoded into its storage.
      */
     std::string lastGood_;
     TrainReport report_;

@@ -414,7 +414,6 @@ WorkerGroup::runBatch(uint64_t globalBatch, size_t st, size_t ed)
     }
     StepResult r = applyMergedUpdate(master_, data_, update);
     if (metrics_) {
-        metrics_->counter("worker.batches").add(1);
         metrics_->histogram("worker.merge_seconds")
             .record(merge.seconds());
     }

@@ -27,6 +27,18 @@ uint32_t crc32(const void *data, size_t len, uint32_t seed = 0);
 class ByteWriter
 {
   public:
+    ByteWriter() = default;
+
+    /**
+     * Write into `storage`'s memory: its content is dropped and its
+     * capacity kept, so re-encoding a payload of the same size into
+     * the previous payload's string allocates nothing.
+     */
+    explicit ByteWriter(std::string storage) : buf_(std::move(storage))
+    {
+        buf_.clear();
+    }
+
     void u8(uint8_t v);
     void u32(uint32_t v);
     void u64(uint64_t v);

@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "core/cascade_batcher.hh"
 #include "graph/dataset.hh"
 #include "tgnn/model.hh"
 #include "train/churn.hh"
 #include "train/metrics.hh"
 #include "train/trainer.hh"
+#include "util/binio.hh"
 
 using namespace cascade;
 
@@ -117,18 +121,28 @@ TEST(EmbedNodes, DoesNotMutateModelState)
     Rng rng(11);
     EventSequence data = generateDataset(spec, rng);
     TemporalAdjacency adj(data);
-    TgnnModel model(tgnConfig(16), spec.numNodes, data.featDim(), 4);
-    model.step(data, adj, 0, 64, true);
+    for (const ModelConfig &config : allModelConfigs(16)) {
+        SCOPED_TRACE(config.name);
+        TgnnModel model(config, spec.numNodes, data.featDim(), 4);
+        model.step(data, adj, 0, 64, true);
 
-    std::vector<NodeId> probe_nodes = {data.events[0].src,
-                                       data.events[0].dst};
-    Tensor mem_before = model.memory().gather(probe_nodes);
-    Tensor e1 = model.embedNodes(probe_nodes, 50.0, data, adj, 64);
-    Tensor e2 = model.embedNodes(probe_nodes, 50.0, data, adj, 64);
-    Tensor mem_after = model.memory().gather(probe_nodes);
+        // Parameters, optimizer, memory, mailbox and the training RNG
+        // (uniform samplers draw neighbors; the query must not).
+        const auto state = [&model] {
+            ByteWriter w;
+            model.saveTrainingState(w);
+            return w.take();
+        };
+        const std::string before = state();
+        std::vector<NodeId> probe_nodes = {data.events[0].src,
+                                           data.events[0].dst};
+        Tensor e1 = model.embedNodes(probe_nodes, 50.0, data, adj, 64);
+        Tensor e2 = model.embedNodes(probe_nodes, 50.0, data, adj, 64);
 
-    for (size_t i = 0; i < e1.size(); ++i)
-        EXPECT_FLOAT_EQ(e1.data()[i], e2.data()[i]);
-    for (size_t i = 0; i < mem_before.size(); ++i)
-        EXPECT_FLOAT_EQ(mem_before.data()[i], mem_after.data()[i]);
+        ASSERT_EQ(e1.size(), e2.size());
+        EXPECT_EQ(std::memcmp(e1.data(), e2.data(),
+                              e1.size() * sizeof(float)),
+                  0);
+        EXPECT_TRUE(state() == before);
+    }
 }

@@ -216,11 +216,11 @@ TEST(Checkpoint, PayloadLayoutIsUnchanged)
     }
     ASSERT_EQ(cur.batchIndex, 3u);
 
-    // The CSCK v4 layout written field by field, each state blob from
+    // The CSCK v5 layout written field by field, each state blob from
     // its own writer and appended as a length-prefixed string.
     ByteWriter want;
     want.u32(0x4353434b); // "CSCK"
-    want.u32(4);
+    want.u32(5);
     for (uint64_t v : {cur.epoch, cur.st, cur.batchIndex, cur.globalBatch,
                        cur.totalBatches, cur.totalEvents, cur.epochEvents})
         want.u64(v);
@@ -242,6 +242,25 @@ TEST(Checkpoint, PayloadLayoutIsUnchanged)
     want.str(model_bytes.buffer());
 
     EXPECT_EQ(encodeCheckpoint(model, batcher, cur), want.buffer());
+}
+
+TEST(Checkpoint, EncodeWritesIntoTheGivenStorage)
+{
+    // The session encodes each cadence snapshot into the previous
+    // one's string: same size, so the same buffer and no allocation,
+    // and the same bytes as a fresh encode.
+    Fixture f(400.0);
+    TgnnModel model = freshModel(f);
+    FixedBatcher batcher(f.trainEnd, f.spec.baseBatch);
+    TrainerCursor cur;
+    std::string previous = encodeCheckpoint(model, batcher, cur);
+    const char *storage = previous.data();
+    model.step(f.src, f.adj, 0, f.spec.baseBatch, true);
+    cur.globalBatch = 1;
+    const std::string next =
+        encodeCheckpoint(model, batcher, cur, std::move(previous));
+    EXPECT_EQ(next.data(), storage);
+    EXPECT_TRUE(next == encodeCheckpoint(model, batcher, cur));
 }
 
 TEST(Checkpoint, CascadeBatcherSectionIsUnderTwoBytesPerNode)
@@ -272,9 +291,9 @@ TEST(Checkpoint, OtherFormatVersionIsRefused)
     std::string payload = encodeCheckpoint(model, batcher, cur);
     TrainerCursor out;
     ASSERT_TRUE(decodeCheckpoint(payload, model, batcher, out));
-    // Bytes 4..7 hold the little-endian version; v3 carried the
-    // diffuser's per-node cursors and has no converter.
-    payload[4] = 3;
+    // Bytes 4..7 hold the little-endian version; v4 wrote each model
+    // component with its own serializer and has no converter.
+    payload[4] = 4;
     EXPECT_FALSE(decodeCheckpoint(payload, model, batcher, out));
 }
 

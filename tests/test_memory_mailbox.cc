@@ -2,18 +2,14 @@
  * @file
  * MemoryStore and Mailbox tests: gather/write round trips, cosine
  * reporting, timestamp stamping, mailbox ring eviction, the
- * most-recent-first gather layout with padding masks, and the
- * mailbox's checkpoint round trip.
+ * most-recent-first gather layout with padding masks. Their checkpoint
+ * round trip is tested at the model level (test_model.cc).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <string>
-
 #include "tgnn/mailbox.hh"
 #include "tgnn/memory.hh"
-#include "util/binio.hh"
 
 using namespace cascade;
 
@@ -184,81 +180,6 @@ TEST(Mailbox, CloneIsIndependent)
     mb.push(0, &p, 2.0);
     auto g = copy.gather({0}, 3.0);
     EXPECT_FLOAT_EQ(g.payloads.at(0, 0), 1.0f);
-}
-
-namespace {
-
-/** Mailbox(4, 3, 2) with a wrapped ring, a partial one and empties. */
-Mailbox
-filledMailbox()
-{
-    Mailbox mb(4, 3, 2);
-    for (int i = 1; i <= 5; ++i) {
-        const float p[2] = {static_cast<float>(i), -0.5f * i};
-        mb.push(2, p, 0.25 * i);
-    }
-    const float q[2] = {7.0f, 8.0f};
-    mb.push(0, q, 1.5);
-    return mb;
-}
-
-std::string
-savedBytes(const Mailbox &mb)
-{
-    ByteWriter w;
-    mb.saveState(w);
-    return w.buffer();
-}
-
-void
-expectSameGather(const Mailbox &a, const Mailbox &b)
-{
-    const std::vector<NodeId> all = {0, 1, 2, 3};
-    const auto ga = a.gather(all, 9.0), gb = b.gather(all, 9.0);
-    ASSERT_EQ(ga.payloads.size(), gb.payloads.size());
-    EXPECT_EQ(std::memcmp(ga.payloads.data(), gb.payloads.data(),
-                          ga.payloads.size() * sizeof(float)),
-              0);
-    EXPECT_EQ(std::memcmp(ga.dt.data(), gb.dt.data(),
-                          ga.dt.size() * sizeof(float)),
-              0);
-    EXPECT_EQ(ga.valid, gb.valid);
-}
-
-} // namespace
-
-TEST(Mailbox, SaveLoadSaveIsByteIdentical)
-{
-    const Mailbox mb = filledMailbox();
-    const std::string first = savedBytes(mb);
-    Mailbox restored(4, 3, 2);
-    ByteReader r(first);
-    ASSERT_TRUE(restored.loadState(r));
-    EXPECT_TRUE(r.atEnd());
-    EXPECT_EQ(savedBytes(restored), first);
-    expectSameGather(restored, mb);
-}
-
-TEST(Mailbox, LoadRefusesMismatchAndLeavesStateUntouched)
-{
-    const std::string good = savedBytes(filledMailbox());
-    const std::vector<std::string> bad = {
-        good.substr(0, good.size() - 1), // truncated payload
-        savedBytes(Mailbox(5, 3, 2)),    // wrong N
-        savedBytes(Mailbox(4, 2, 2)),    // wrong S
-        savedBytes(Mailbox(4, 3, 1)),    // wrong M
-    };
-    for (const std::string &bytes : bad) {
-        // A state unlike the payload's, so a partial load would show.
-        Mailbox target(4, 3, 2);
-        const float p[2] = {3.0f, 4.0f};
-        target.push(1, p, 0.5);
-        const Mailbox before(target);
-        ByteReader r(bytes);
-        EXPECT_FALSE(target.loadState(r));
-        EXPECT_EQ(savedBytes(target), savedBytes(before));
-        expectSameGather(target, before);
-    }
 }
 
 TEST(MailboxDeath, PushOutOfRangeNodeDies)

@@ -2,13 +2,19 @@
  * @file
  * TgnnModel tests across all five Table 1 configurations: pipeline
  * mechanics (memory writes, mailbox messages, SG-Filter cosines),
- * learnability (loss decreases), determinism, and state snapshots.
+ * learnability (loss decreases), determinism, state snapshots, and
+ * the checkpoint section's save/load round trip.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+
 #include "graph/dataset.hh"
 #include "tgnn/model.hh"
+#include "util/binio.hh"
 
 using namespace cascade;
 
@@ -29,6 +35,23 @@ struct Fixture
           adj(data)
     {}
 };
+
+/** The model's checkpoint section, as saveTrainingState writes it. */
+std::string
+trainingStateBytes(const TgnnModel &model)
+{
+    ByteWriter w;
+    model.saveTrainingState(w);
+    return w.take();
+}
+
+/** Train in fixed batches of 100 over events [0, ed). */
+void
+trainPrefix(TgnnModel &model, const Fixture &f, size_t ed)
+{
+    for (size_t st = 0; st < ed; st += 100)
+        model.step(f.data, f.adj, st, std::min(ed, st + 100), true);
+}
 
 ModelConfig
 configByIndex(int i, size_t dim = 16)
@@ -185,7 +208,10 @@ TEST(TgnnModel, SaveRestoreStateRoundTrip)
     Tensor mem_before = model.memory().gather({0, 1, 2, 3});
 
     model.step(f.data, f.adj, 64, 192, true);
-    model.restoreState(std::move(snapshot));
+    // Copied into the arrays the model already owns, not swapped in.
+    const float *storage = model.memory().raw().data();
+    model.restoreState(snapshot);
+    EXPECT_EQ(model.memory().raw().data(), storage);
     Tensor mem_after = model.memory().gather({0, 1, 2, 3});
     for (size_t i = 0; i < mem_before.size(); ++i)
         EXPECT_FLOAT_EQ(mem_before.data()[i], mem_after.data()[i]);
@@ -248,4 +274,68 @@ TEST(TgnnModel, WorkRowsScaleWithFanout)
     // TGAT's 2-layer fanout-10 embedding does more effective dense
     // work (lane-weighted, so ~2-4x rather than a naive 30x).
     EXPECT_GT(rw.workRows, 3 * rn.workRows / 2);
+}
+
+TEST(TgnnModel, TrainingStateSaveLoadSaveIsByteIdentical)
+{
+    // APAN keeps 10 messages per node; all but the last 100 events
+    // wrap the rings of the busiest nodes (each event pushes to both
+    // endpoints).
+    Fixture f;
+    const size_t ed = f.data.size() - 100;
+    std::vector<size_t> pushes(f.spec.numNodes, 0);
+    for (size_t i = 0; i < ed; ++i) {
+        ++pushes[static_cast<size_t>(f.data.events[i].src)];
+        ++pushes[static_cast<size_t>(f.data.events[i].dst)];
+    }
+    const ModelConfig cfg = apanConfig(16);
+    ASSERT_GT(*std::max_element(pushes.begin(), pushes.end()),
+              cfg.mailboxSlots);
+
+    TgnnModel model(cfg, f.spec.numNodes, f.data.featDim(), 21);
+    trainPrefix(model, f, ed);
+    const std::string first = trainingStateBytes(model);
+
+    // Another seed, so every array must come from the payload.
+    TgnnModel restored(cfg, f.spec.numNodes, f.data.featDim(), 22);
+    ByteReader r(first);
+    ASSERT_TRUE(restored.loadTrainingState(r));
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_TRUE(trainingStateBytes(restored) == first);
+
+    // Restored parameters, moments, memory, mailbox and RNG continue
+    // the trajectory bit for bit.
+    const StepResult a = model.step(f.data, f.adj, ed, ed + 100, true);
+    const StepResult b = restored.step(f.data, f.adj, ed, ed + 100, true);
+    EXPECT_EQ(std::memcmp(&a.loss, &b.loss, sizeof a.loss), 0);
+    EXPECT_EQ(a.memCosine, b.memCosine);
+    EXPECT_TRUE(trainingStateBytes(restored) == trainingStateBytes(model));
+}
+
+TEST(TgnnModel, TrainingStateLoadRefusesMismatchAndLeavesStateUntouched)
+{
+    Fixture f;
+    const size_t n = f.spec.numNodes, feat = f.data.featDim();
+    TgnnModel source(apanConfig(16), n, feat, 21);
+    trainPrefix(source, f, 300);
+    const std::string good = trainingStateBytes(source);
+
+    ModelConfig five_slots = apanConfig(16);
+    five_slots.mailboxSlots = 5;
+    const std::vector<std::string> bad = {
+        good.substr(0, good.size() - 1), // truncated
+        good + std::string(1, '\0'),     // trailing byte
+        trainingStateBytes(TgnnModel(apanConfig(16), n + 1, feat, 21)),
+        trainingStateBytes(TgnnModel(apanConfig(8), n, feat, 21)),
+        trainingStateBytes(TgnnModel(five_slots, n, feat, 21)),
+    };
+    for (const std::string &bytes : bad) {
+        // A state unlike the payload's, so a partial load would show.
+        TgnnModel target(apanConfig(16), n, feat, 33);
+        trainPrefix(target, f, 200);
+        const std::string before = trainingStateBytes(target);
+        ByteReader r(bytes);
+        EXPECT_FALSE(target.loadTrainingState(r));
+        EXPECT_TRUE(trainingStateBytes(target) == before);
+    }
 }

@@ -487,10 +487,11 @@ TEST(TrainingSession, StageSecondsReconcileWithWallSeconds)
         if (with_writes) {
             ASSERT_NE(writes, nullptr);
             EXPECT_GT(writes->count(), 0u);
-            EXPECT_EQ(writes->count(),
-                      session.metrics()
-                          .counter("checkpoint.snapshots")
-                          .value());
+            // One write per cadence snapshot.
+            const obs::Histogram *snapshots =
+                session.metrics().findHistogram("stage.checkpoint.seconds");
+            ASSERT_NE(snapshots, nullptr);
+            EXPECT_EQ(writes->count(), snapshots->count());
             EXPECT_GE(writes->sum(),
                       static_cast<double>(writes->count()) * kLatencyMs *
                           1e-3);
@@ -588,10 +589,11 @@ TEST(TrainingSession, ReportIsAssembledFromTheRegistry)
         EXPECT_EQ(r.deviceSeconds, device.totalSeconds());
         EXPECT_EQ(r.deviceUtilization, device.utilization());
 
-        // train.batches counts admitted batches, a replayed one each
-        // time; the report's totalBatches is the trajectory's count.
-        ASSERT_NE(m.findCounter("train.batches"), nullptr);
-        const uint64_t admitted = m.findCounter("train.batches")->value();
+        // train.batch_size samples admitted batches, a replayed one
+        // each time; the report's totalBatches is the trajectory's count.
+        ASSERT_NE(m.findHistogram("train.batch_size"), nullptr);
+        const uint64_t admitted =
+            m.findHistogram("train.batch_size")->count();
         if (nan) {
             EXPECT_GT(admitted, r.totalBatches);
         } else {

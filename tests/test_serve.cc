@@ -32,14 +32,15 @@ struct Fixture
     TemporalAdjacency adj;
     TgnnModel model;
 
-    explicit Fixture(double scale = 400.0, uint64_t seed = 29)
+    explicit Fixture(double scale = 400.0, uint64_t seed = 29,
+                     const ModelConfig &config = tgnConfig(16))
         : spec(wikiSpec(scale)),
           data([&] {
               Rng rng(seed);
               return generateDataset(spec, rng);
           }()),
           src(data), adj(data),
-          model(tgnConfig(16), spec.numNodes, data.featDim(), seed + 1)
+          model(config, spec.numNodes, data.featDim(), seed + 1)
     {}
 };
 
@@ -80,34 +81,42 @@ probeNodes(size_t n, size_t num_nodes, size_t salt)
 
 TEST(Serve, ReaderMatchesOfflineComputeExactly)
 {
-    Fixture f;
-    ServeEngine engine(f.model, f.src, f.adj, 0);
-    engine.applyEvents(f.src.size() * 4 / 5, 64);
-    const auto snap = engine.snapshot();
-    ASSERT_GT(snap->appliedEvents, 0u);
+    // TGN samples its most recent neighbors; TGAT samples uniformly,
+    // from an RNG seeded by the query alone.
+    for (const ModelConfig &config : {tgnConfig(16), tgatConfig(16)}) {
+        SCOPED_TRACE(config.name);
+        Fixture f(400.0, 29, config);
+        ServeEngine engine(f.model, f.src, f.adj, 0);
+        engine.applyEvents(f.src.size() * 4 / 5, 64);
+        const auto snap = engine.snapshot();
+        ASSERT_GT(snap->appliedEvents, 0u);
 
-    const std::vector<NodeId> nodes =
-        probeNodes(6, f.spec.numNodes, 3);
-    const std::vector<NodeId> dsts =
-        probeNodes(6, f.spec.numNodes, 101);
+        const std::vector<NodeId> nodes =
+            probeNodes(6, f.spec.numNodes, 3);
+        const std::vector<NodeId> dsts =
+            probeNodes(6, f.spec.numNodes, 101);
 
-    ServeReader reader(engine);
-    const Tensor served_emb = reader.embed(nodes);
-    const Tensor served_score = reader.scoreLinks(nodes, dsts);
-    EXPECT_EQ(reader.syncedVersion(), snap->version);
+        ServeReader reader(engine);
+        const Tensor served_emb = reader.embed(nodes);
+        const Tensor served_score = reader.scoreLinks(nodes, dsts);
+        EXPECT_EQ(reader.syncedVersion(), snap->version);
+        // The same query on the same snapshot answers the same bits.
+        EXPECT_TRUE(bitEqual(reader.embed(nodes), served_emb));
+        EXPECT_TRUE(bitEqual(reader.scoreLinks(nodes, dsts), served_score));
 
-    TgnnModel offline = offlineReplica(engine, *snap);
-    const EventIdx before =
-        static_cast<EventIdx>(snap->appliedEvents);
-    const Tensor off_emb = offline.embedNodes(nodes, snap->lastTs,
-                                              f.src, f.adj, before);
-    const Tensor off_score = offline.scoreLinks(
-        nodes, dsts, snap->lastTs, f.src, f.adj, before);
+        TgnnModel offline = offlineReplica(engine, *snap);
+        const EventIdx before =
+            static_cast<EventIdx>(snap->appliedEvents);
+        const Tensor off_emb = offline.embedNodes(nodes, snap->lastTs,
+                                                  f.src, f.adj, before);
+        const Tensor off_score = offline.scoreLinks(
+            nodes, dsts, snap->lastTs, f.src, f.adj, before);
 
-    // Byte-identical, not approximately equal: serving must add no
-    // approximation over offline embedding compute.
-    EXPECT_TRUE(bitEqual(served_emb, off_emb));
-    EXPECT_TRUE(bitEqual(served_score, off_score));
+        // Byte-identical, not approximately equal: serving must add no
+        // approximation over offline embedding compute.
+        EXPECT_TRUE(bitEqual(served_emb, off_emb));
+        EXPECT_TRUE(bitEqual(served_score, off_score));
+    }
 }
 
 TEST(Serve, ApplyingEventsAdvancesSnapshotsAndAnswers)

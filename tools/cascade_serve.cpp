@@ -96,42 +96,6 @@ declareFlags(cli::FlagSet &flags, CliOptions &o)
                    "socket, shut down, exit");
 }
 
-DatasetSpec
-specByName(const std::string &name, double scale)
-{
-    if (name == "wiki")
-        return wikiSpec(scale);
-    if (name == "reddit")
-        return redditSpec(scale);
-    if (name == "mooc")
-        return moocSpec(scale);
-    if (name == "wikitalk")
-        return wikiTalkSpec(scale);
-    if (name == "sxfull")
-        return sxFullSpec(scale);
-    if (name == "gdelt")
-        return gdeltSpec(scale);
-    if (name == "mag")
-        return magSpec(scale);
-    CASCADE_FATAL("unknown dataset (see --help)");
-}
-
-ModelConfig
-modelByCliName(const std::string &name, size_t dim)
-{
-    if (name == "jodie")
-        return jodieConfig(dim);
-    if (name == "tgn")
-        return tgnConfig(dim);
-    if (name == "apan")
-        return apanConfig(dim);
-    if (name == "dysat")
-        return dysatConfig(dim);
-    if (name == "tgat")
-        return tgatConfig(dim);
-    CASCADE_FATAL("unknown model (see --help)");
-}
-
 double
 peakRssMb()
 {
@@ -165,7 +129,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    DatasetSpec spec = specByName(opts.dataset, opts.scale);
+    DatasetSpec spec = cli::specByName(opts.dataset, opts.scale);
 
     EventSequence data;
     std::unique_ptr<VectorEventSource> vec_src;
@@ -190,7 +154,7 @@ main(int argc, char **argv)
     TemporalAdjacency adj(*src);
     const size_t num_nodes = std::max(spec.numNodes, src->numNodes());
 
-    ModelConfig mc = modelByCliName(opts.model, opts.dim);
+    ModelConfig mc = cli::modelByCliName(opts.model, opts.dim);
     TgnnModel model(mc, num_nodes, src->featDim(), opts.seed + 1);
     if (!opts.loadPath.empty() &&
         !loadModel(model, opts.loadPath)) {

@@ -152,42 +152,6 @@ declareFlags(cli::FlagSet &flags, CliOptions &o)
                   "worker reply deadline");
 }
 
-DatasetSpec
-specByName(const std::string &name, double scale)
-{
-    if (name == "wiki")
-        return wikiSpec(scale);
-    if (name == "reddit")
-        return redditSpec(scale);
-    if (name == "mooc")
-        return moocSpec(scale);
-    if (name == "wikitalk")
-        return wikiTalkSpec(scale);
-    if (name == "sxfull")
-        return sxFullSpec(scale);
-    if (name == "gdelt")
-        return gdeltSpec(scale);
-    if (name == "mag")
-        return magSpec(scale);
-    CASCADE_FATAL("unknown dataset (see --help)");
-}
-
-ModelConfig
-modelByCliName(const std::string &name, size_t dim)
-{
-    if (name == "jodie")
-        return jodieConfig(dim);
-    if (name == "tgn")
-        return tgnConfig(dim);
-    if (name == "apan")
-        return apanConfig(dim);
-    if (name == "dysat")
-        return dysatConfig(dim);
-    if (name == "tgat")
-        return tgatConfig(dim);
-    CASCADE_FATAL("unknown model (see --help)");
-}
-
 /** Peak resident set of this process so far, in MiB. */
 double
 peakRssMb()
@@ -217,7 +181,7 @@ main(int argc, char **argv)
     if (opts.threads > 0)
         ThreadPool::setGlobalThreads(opts.threads);
 
-    DatasetSpec spec = specByName(opts.dataset, opts.scale);
+    DatasetSpec spec = cli::specByName(opts.dataset, opts.scale);
 
     if (!opts.exportLogPath.empty()) {
         // Converter mode: synthesize straight to the chunked log with
@@ -262,7 +226,7 @@ main(int argc, char **argv)
     const size_t train_end = src->size() * 17 / 20;
     const size_t num_nodes = std::max(spec.numNodes, src->numNodes());
 
-    ModelConfig mc = modelByCliName(opts.model, opts.dim);
+    ModelConfig mc = cli::modelByCliName(opts.model, opts.dim);
     if (opts.policy == "tglite")
         mc.dedupEmbed = true;
     TgnnModel model(mc, num_nodes, src->featDim(), opts.seed + 1);

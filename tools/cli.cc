@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/logging.hh"
+
 namespace cascade {
 namespace cli {
 
@@ -190,6 +192,42 @@ FlagSet::parse(int argc, char **argv) const
         }
     }
     return ParseResult::Ok;
+}
+
+DatasetSpec
+specByName(const std::string &name, double scale)
+{
+    if (name == "wiki")
+        return wikiSpec(scale);
+    if (name == "reddit")
+        return redditSpec(scale);
+    if (name == "mooc")
+        return moocSpec(scale);
+    if (name == "wikitalk")
+        return wikiTalkSpec(scale);
+    if (name == "sxfull")
+        return sxFullSpec(scale);
+    if (name == "gdelt")
+        return gdeltSpec(scale);
+    if (name == "mag")
+        return magSpec(scale);
+    CASCADE_FATAL("unknown dataset (see --help)");
+}
+
+ModelConfig
+modelByCliName(const std::string &name, size_t dim)
+{
+    if (name == "jodie")
+        return jodieConfig(dim);
+    if (name == "tgn")
+        return tgnConfig(dim);
+    if (name == "apan")
+        return apanConfig(dim);
+    if (name == "dysat")
+        return dysatConfig(dim);
+    if (name == "tgat")
+        return tgatConfig(dim);
+    CASCADE_FATAL("unknown model (see --help)");
 }
 
 } // namespace cli

@@ -22,6 +22,9 @@
  * flag from the registered metavar + help text, so the help output
  * can never drift from what the parser accepts. Unknown flags and
  * malformed values print an error naming the flag to stderr.
+ *
+ * The `--dataset` and `--model` name tables that cascade_train and
+ * cascade_serve both accept live here too, once.
  */
 
 #ifndef CASCADE_TOOLS_CLI_HH
@@ -33,6 +36,9 @@
 #include <string>
 #include <type_traits>
 #include <vector>
+
+#include "graph/dataset.hh"
+#include "tgnn/config.hh"
 
 namespace cascade {
 namespace cli {
@@ -127,6 +133,18 @@ class FlagSet
     std::string description_;
     std::vector<Flag> flags_;
 };
+
+/**
+ * The dataset a `--dataset` name selects (wiki, reddit, mooc,
+ * wikitalk, sxfull, gdelt, mag) at `scale`; fatal for any other name.
+ */
+DatasetSpec specByName(const std::string &name, double scale);
+
+/**
+ * The Table 1 model a `--model` name selects (jodie, tgn, apan,
+ * dysat, tgat) at width `dim`; fatal for any other name.
+ */
+ModelConfig modelByCliName(const std::string &name, size_t dim);
 
 } // namespace cli
 } // namespace cascade

@@ -212,6 +212,38 @@ run_case worker-hang-watchdog 0 "heartbeat deadline missed" \
     $COMMON --policy cascade --workers 2 --shards 4 \
     --worker-heartbeat-ms 200
 
+# 12. Equal trajectories write equal generations: kernels are
+#     bit-identical across pool sizes and checkpoints carry no wall
+#     time, so the same seed at --threads 1 and 4 must commit the same
+#     bytes, generation by generation.
+for t in 1 4; do
+    run_case "generations-threads$t" 0 "checkpointing=on" "gen_t$t.log" -- -- \
+        $COMMON --policy cascade --threads "$t" \
+        --checkpoint "$WORK/gen_t$t.bin" --checkpoint-every 2 \
+        --checkpoint-keep 50
+done
+gens=0
+differing=0
+for f in "$WORK"/gen_t1.bin*; do
+    [ -e "$f" ] || continue
+    gens=$((gens + 1))
+    if ! cmp -s "$f" "$WORK/gen_t4.bin${f#"$WORK/gen_t1.bin"}"; then
+        echo "FAIL [generations-cmp]: $(basename "$f") differs between" \
+            "--threads 1 and 4" >&2
+        differing=$((differing + 1))
+    fi
+done
+others=$(ls "$WORK"/gen_t4.bin* 2>/dev/null | wc -l)
+if [ "$gens" -lt 2 ] || [ "$others" -ne "$gens" ]; then
+    echo "FAIL [generations-cmp]: $gens generations at --threads 1," \
+        "$others at --threads 4" >&2
+    differing=$((differing + 1))
+fi
+if [ "$differing" -eq 0 ]; then
+    echo "ok   [generations-cmp] ($gens generations)"
+fi
+FAILURES=$((FAILURES + differing))
+
 if [ "$FAILURES" -ne 0 ]; then
     echo "fault_matrix: $FAILURES case(s) failed" >&2
     exit 1
