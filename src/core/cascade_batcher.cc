@@ -95,8 +95,13 @@ CascadeBatcher::saveState(ByteWriter &w) const
 bool
 CascadeBatcher::loadState(ByteReader &r)
 {
-    if (!abs_->loadState(r) || !sgFilter_->loadState(r))
+    // ABS is staged until SG-Filter's part (which checks its node
+    // count and applies nothing on failure) has been read, so a
+    // failed load leaves both untouched.
+    AdaptiveBatchSensor abs = *abs_;
+    if (!abs.loadState(r) || !sgFilter_->loadState(r))
         return false;
+    *abs_ = std::move(abs);
     // The diffuser's lookup state is a function of the batch start,
     // Max_r and the chunk, so the next lookup rebuilds it from its st.
     diffuser_->resetEpoch();

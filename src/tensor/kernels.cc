@@ -58,8 +58,10 @@ bump(std::atomic<uint64_t> &counter, uint64_t n = 1)
 class BufferPool
 {
   public:
+    /** A buffer of n floats; with `zeroed` every one of them is 0,
+     *  written once (a miss is value-initialized already). */
     std::vector<float>
-    acquire(size_t n)
+    acquire(size_t n, bool zeroed)
     {
         // Only the free-list scan runs under the shard mutex; the
         // O(n) resize (zero-fill of the grown region) happens after
@@ -95,7 +97,10 @@ class BufferPool
         }
         if (hit) {
             bump(poolHits);
-            buf.resize(n);
+            if (zeroed)
+                buf.assign(n, 0.0f);
+            else
+                buf.resize(n);
             return buf;
         }
         bump(poolMisses);
@@ -180,67 +185,171 @@ constexpr size_t NR = 64;
  */
 constexpr uint64_t kMinParallelFlopsPerThread = 1ull << 22;
 
+/** Element (i, p) of op(A); A is stored m x k (None) or k x m. */
+template <bool TransA>
+inline float
+opA(const float *A, size_t lda, size_t i, size_t p)
+{
+    return TransA ? A[p * lda + i] : A[i * lda + p];
+}
+
+/**
+ * Register tile: c[i * ldc + j] (+)= sum_p op(A)(i0 + i, p) *
+ * b[p * ldb + j] for i < MR, j < NR, accumulated in the order
+ * p = 0..k-1. Every trip count is fixed, so the accumulators stay in
+ * registers.
+ */
+template <bool TransA>
+inline void
+tileKernel(const float *A, size_t lda, size_t i0, const float *b,
+           size_t ldb, float *c, size_t ldc, size_t k, bool accumulate)
+{
+    float acc[MR][NR];
+    if (accumulate) {
+        for (size_t i = 0; i < MR; ++i)
+            for (size_t j = 0; j < NR; ++j)
+                acc[i][j] = c[i * ldc + j];
+    } else {
+        for (size_t i = 0; i < MR; ++i)
+            for (size_t j = 0; j < NR; ++j)
+                acc[i][j] = 0.0f;
+    }
+    for (size_t p = 0; p < k; ++p) {
+        const float *brow = b + p * ldb;
+        for (size_t i = 0; i < MR; ++i) {
+            const float av = opA<TransA>(A, lda, i0 + i, p);
+            for (size_t j = 0; j < NR; ++j)
+                acc[i][j] += av * brow[j];
+        }
+    }
+    for (size_t i = 0; i < MR; ++i)
+        for (size_t j = 0; j < NR; ++j)
+            c[i * ldc + j] = acc[i][j];
+}
+
+/** Edge path: im rows by jn columns, one output row at a time, in the
+ *  same per-element order p = 0..k-1 as the register tile. */
+template <bool TransA>
+void
+edgeRows(const float *A, size_t lda, size_t i0, size_t im,
+         const float *b, size_t ldb, float *c, size_t ldc, size_t k,
+         size_t jn, bool accumulate)
+{
+    for (size_t i = 0; i < im; ++i) {
+        float *crow = c + i * ldc;
+        if (!accumulate)
+            std::memset(crow, 0, jn * sizeof(float));
+        for (size_t p = 0; p < k; ++p) {
+            const float av = opA<TransA>(A, lda, i0 + i, p);
+            const float *brow = b + p * ldb;
+            for (size_t j = 0; j < jn; ++j)
+                crow[j] += av * brow[j];
+        }
+    }
+}
+
+/**
+ * Copy columns [j0, j0 + jn) of op(B) into the first jn columns of the
+ * calling thread's k x NR panel, zero its columns [jn, width) and
+ * return it. B is stored k x n (None) or n x k (Transpose). The panel
+ * grows to the largest k seen and is reused by the thread's next pack.
+ */
+const float *
+packPanel(const float *B, bool transB, size_t k, size_t n, size_t j0,
+          size_t jn, size_t width)
+{
+    thread_local std::vector<float> storage;
+    if (storage.size() < k * NR)
+        storage.resize(k * NR);
+    float *panel = storage.data();
+    if (!transB) {
+        for (size_t p = 0; p < k; ++p)
+            std::memcpy(panel + p * NR, B + p * n + j0,
+                        jn * sizeof(float));
+    } else {
+        // Blocked over p so each source row is read a cache line at a
+        // time while the written panel rows stay in L1.
+        constexpr size_t PB = 16;
+        for (size_t p0 = 0; p0 < k; p0 += PB) {
+            const size_t p1 = std::min(k, p0 + PB);
+            for (size_t j = 0; j < jn; ++j) {
+                const float *src = B + (j0 + j) * k;
+                for (size_t p = p0; p < p1; ++p)
+                    panel[p * NR + j] = src[p];
+            }
+        }
+    }
+    if (width > jn) {
+        for (size_t p = 0; p < k; ++p)
+            std::memset(panel + p * NR + jn, 0,
+                        (width - jn) * sizeof(float));
+    }
+    return panel;
+}
+
 /**
  * C tile-range kernel: rows [MR*tile_lo, min(MR*tile_hi, m)) of
- * C (+)= A * B with A m x k, B k x n, all row-major and dense.
+ * C (+)= op(A) * op(B), C m x n row-major, op(A) m x k read in place.
  *
- * Accumulation order per output element is p = 0..k-1 in both the
- * register-tiled body and the edge path, so the result does not depend
- * on which band a row lands in.
+ * op(B) is walked in k x NR panels, each outside the row tiles so a
+ * panel is prepared once per band. A stored-row-major B feeds a full
+ * panel in place; a transposed B, or an edge panel of NR/2..NR-1
+ * columns, is packed into per-thread scratch, zero-padded to NR, so
+ * the full register tile runs and only the real columns are stored.
+ * Narrower panels and the last m % MR rows take the edge path. The
+ * padding never reaches C, and both paths accumulate each output
+ * element in the order p = 0..k-1, so the result does not depend on
+ * the path, the band or the operand orientation.
  */
+template <bool TransA>
 void
-gemmTiles(const float *A, const float *B, float *C, size_t m, size_t k,
-          size_t n, bool accumulate, size_t tile_lo, size_t tile_hi)
+gemmTiles(const float *A, const float *B, bool transB, float *C,
+          size_t m, size_t k, size_t n, bool accumulate, size_t tile_lo,
+          size_t tile_hi)
 {
-    for (size_t t = tile_lo; t < tile_hi; ++t) {
-        const size_t i0 = t * MR;
-        const size_t im = std::min(MR, m - i0);
-        for (size_t j0 = 0; j0 < n; j0 += NR) {
-            const size_t jn = std::min(NR, n - j0);
-            if (im == MR && jn == NR) {
-                float acc[MR][NR];
+    const size_t lda = TransA ? m : k;
+    for (size_t j0 = 0; j0 < n; j0 += NR) {
+        const size_t jn = std::min(NR, n - j0);
+        const bool wide = 2 * jn >= NR;
+        // Panel element (p, j) is op(B)(p, j0 + j) = b[p * ldb + j].
+        const bool packed = transB || (wide && jn != NR);
+        const float *b = packed
+            ? packPanel(B, transB, k, n, j0, jn, wide ? NR : jn)
+            : B + j0;
+        const size_t ldb = packed ? NR : n;
+        for (size_t t = tile_lo; t < tile_hi; ++t) {
+            const size_t i0 = t * MR;
+            const size_t im = std::min(MR, m - i0);
+            float *c = C + i0 * n + j0;
+            if (im < MR || !wide) {
+                edgeRows<TransA>(A, lda, i0, im, b, ldb, c, n, k, jn,
+                                 accumulate);
+            } else if (jn == NR) {
+                tileKernel<TransA>(A, lda, i0, b, ldb, c, n, k,
+                                   accumulate);
+            } else {
+                float tile[MR * NR] = {};
                 if (accumulate) {
                     for (size_t i = 0; i < MR; ++i)
-                        for (size_t j = 0; j < NR; ++j)
-                            acc[i][j] = C[(i0 + i) * n + j0 + j];
-                } else {
-                    for (size_t i = 0; i < MR; ++i)
-                        for (size_t j = 0; j < NR; ++j)
-                            acc[i][j] = 0.0f;
+                        std::memcpy(tile + i * NR, c + i * n,
+                                    jn * sizeof(float));
                 }
-                for (size_t p = 0; p < k; ++p) {
-                    const float *brow = B + p * n + j0;
-                    for (size_t i = 0; i < MR; ++i) {
-                        const float av = A[(i0 + i) * k + p];
-                        for (size_t j = 0; j < NR; ++j)
-                            acc[i][j] += av * brow[j];
-                    }
-                }
+                tileKernel<TransA>(A, lda, i0, b, NR, tile, NR, k,
+                                   /*accumulate=*/true);
                 for (size_t i = 0; i < MR; ++i)
-                    for (size_t j = 0; j < NR; ++j)
-                        C[(i0 + i) * n + j0 + j] = acc[i][j];
-            } else {
-                for (size_t i = 0; i < im; ++i) {
-                    float *crow = C + (i0 + i) * n + j0;
-                    if (!accumulate)
-                        std::memset(crow, 0, jn * sizeof(float));
-                    const float *arow = A + (i0 + i) * k;
-                    for (size_t p = 0; p < k; ++p) {
-                        const float av = arow[p];
-                        const float *brow = B + p * n + j0;
-                        for (size_t j = 0; j < jn; ++j)
-                            crow[j] += av * brow[j];
-                    }
-                }
+                    std::memcpy(c + i * n, tile + i * NR,
+                                jn * sizeof(float));
             }
         }
     }
 }
 
-/** Dense C (+)= A*B over the thread pool (deterministic row bands). */
+/** Dense C (+)= op(A)*op(B) over the thread pool (deterministic row
+ *  bands). */
+template <bool TransA>
 void
-gemmDense(const float *A, const float *B, float *C, size_t m, size_t k,
-          size_t n, bool accumulate)
+gemmDense(const float *A, const float *B, bool transB, float *C,
+          size_t m, size_t k, size_t n, bool accumulate)
 {
     if (m == 0 || n == 0)
         return;
@@ -256,27 +365,13 @@ gemmDense(const float *A, const float *B, float *C, size_t m, size_t k,
         parallelForChunks(
             0, tiles,
             [&](size_t lo, size_t hi) {
-                gemmTiles(A, B, C, m, k, n, accumulate, lo, hi);
+                gemmTiles<TransA>(A, B, transB, C, m, k, n, accumulate,
+                                  lo, hi);
             },
             /*grain=*/1);
     } else {
-        gemmTiles(A, B, C, m, k, n, accumulate, 0, tiles);
-    }
-}
-
-/** Blocked out-of-place transpose (dst = src^T, src r x c). */
-void
-transposeInto(const float *src, float *dst, size_t r, size_t c)
-{
-    constexpr size_t TB = 32;
-    for (size_t i0 = 0; i0 < r; i0 += TB) {
-        const size_t i1 = std::min(r, i0 + TB);
-        for (size_t j0 = 0; j0 < c; j0 += TB) {
-            const size_t j1 = std::min(c, j0 + TB);
-            for (size_t i = i0; i < i1; ++i)
-                for (size_t j = j0; j < j1; ++j)
-                    dst[j * r + i] = src[i * c + j];
-        }
+        gemmTiles<TransA>(A, B, transB, C, m, k, n, accumulate, 0,
+                          tiles);
     }
 }
 
@@ -292,7 +387,8 @@ opCols(Trans t, const Tensor &x)
     return t == Trans::None ? x.cols() : x.rows();
 }
 
-/** Shared gemm/gemmAcc body; out must be pre-shaped m x n. */
+/** Shared gemm/gemmAcc body; out must be pre-shaped m x n. Both
+ *  operands are read where they are stored. */
 void
 gemmInto(Trans ta, Trans tb, const Tensor &a, const Tensor &b,
          Tensor &out, bool accumulate)
@@ -305,27 +401,13 @@ gemmInto(Trans ta, Trans tb, const Tensor &a, const Tensor &b,
     bump(gemmCalls);
     bump(gemmFlops, 2ull * m * k * n);
 
-    // Transposed operands are materialized once (O(r*c) vs the
-    // O(m*k*n) multiply) so a single dense kernel serves all four
-    // combinations; scratch cycles through the buffer pool.
-    Tensor ta_scratch, tb_scratch;
-    const float *A = a.data();
-    const float *B = b.data();
-    if (ta == Trans::Transpose) {
-        ta_scratch = uninit(a.cols(), a.rows());
-        transposeInto(a.data(), ta_scratch.data(), a.rows(), a.cols());
-        A = ta_scratch.data();
-    }
-    if (tb == Trans::Transpose) {
-        tb_scratch = uninit(b.cols(), b.rows());
-        transposeInto(b.data(), tb_scratch.data(), b.rows(), b.cols());
-        B = tb_scratch.data();
-    }
-
-    gemmDense(A, B, out.data(), m, k, n, accumulate);
-
-    recycle(std::move(ta_scratch));
-    recycle(std::move(tb_scratch));
+    const bool transB = tb == Trans::Transpose;
+    if (ta == Trans::Transpose)
+        gemmDense<true>(a.data(), b.data(), transB, out.data(), m, k, n,
+                        accumulate);
+    else
+        gemmDense<false>(a.data(), b.data(), transB, out.data(), m, k, n,
+                         accumulate);
 }
 
 } // namespace
@@ -359,39 +441,28 @@ gemm(Trans ta, Trans tb, const Tensor &a, const Tensor &b)
     return out;
 }
 
-void
-transpose(const Tensor &a, Tensor &out)
-{
-    CASCADE_CHECK(&out != &a, "transpose output aliases input");
-    if (out.rows() != a.cols() || out.cols() != a.rows()) {
-        recycle(std::move(out));
-        out = uninit(a.cols(), a.rows());
-    }
-    transposeInto(a.data(), out.data(), a.rows(), a.cols());
-}
-
 /* ------------------------------------------------------------------ */
 /* Pooled tensors                                                      */
 
 Tensor
 zeros(size_t rows, size_t cols)
 {
-    std::vector<float> buf = BufferPool::global().acquire(rows * cols);
-    std::fill(buf.begin(), buf.end(), 0.0f);
-    return Tensor(rows, cols, std::move(buf));
+    return Tensor(rows, cols,
+                  BufferPool::global().acquire(rows * cols, true));
 }
 
 Tensor
 uninit(size_t rows, size_t cols)
 {
     return Tensor(rows, cols,
-                  BufferPool::global().acquire(rows * cols));
+                  BufferPool::global().acquire(rows * cols, false));
 }
 
 Tensor
 copyOf(const Tensor &src)
 {
-    std::vector<float> buf = BufferPool::global().acquire(src.size());
+    std::vector<float> buf =
+        BufferPool::global().acquire(src.size(), false);
     if (src.size() > 0)
         std::memcpy(buf.data(), src.data(), src.size() * sizeof(float));
     return Tensor(src.rows(), src.cols(), std::move(buf));

@@ -13,7 +13,17 @@
  *  - Cache-blocked, register-tiled compute. The kernel walks MR x NR
  *    output tiles with the full-k dot product held in registers, so
  *    each output element is accumulated in the fixed order
- *    p = 0..k-1 regardless of tiling, banding or thread count.
+ *    p = 0..k-1 regardless of tiling, banding, thread count or
+ *    operand orientation.
+ *
+ *  - No materialized transposes. op(A) is read where it is stored,
+ *    with the orientation fixed at compile time. op(B) is walked in
+ *    k x NR panels: a row-major B feeds a full panel in place; a
+ *    transposed B, or an edge panel of NR/2..NR-1 columns, is packed
+ *    into a per-thread panel, zero-padded to NR, and runs the full
+ *    register tile with only its real columns stored. Narrower panels
+ *    and the last m % MR rows take a row-at-a-time edge path with the
+ *    same per-element order.
  *
  *  - Deterministic parallelism. Large GEMMs are split into row-tile
  *    bands over the global ThreadPool. Because a band boundary never
@@ -23,8 +33,10 @@
  *
  *  - A thread-safe buffer pool. Autograd nodes return their tensor
  *    storage here on destruction; ops acquire forward outputs and
- *    gradients from it, so a steady-state training step performs no
- *    per-op heap allocation after warm-up.
+ *    gradients from it. The pool is capped (8 shards x 64 buffers,
+ *    192 MiB), so it reuses part of the storage, not all of it:
+ *    nodes also return tensors the pool never handed out, and the
+ *    caps drop the excess. zeros() writes each zero once.
  *
  *  - Observability. Kernel invocations, GEMM flops and pool hit/miss
  *    tallies are counted in process-wide atomics read through
@@ -67,9 +79,6 @@ void gemmAcc(Trans ta, Trans tb, const Tensor &a, const Tensor &b,
 CASCADE_TRAJECTORY
 Tensor gemm(Trans ta, Trans tb, const Tensor &a, const Tensor &b);
 /** @} */
-
-/** Blocked transposed copy: out = A^T. */
-void transpose(const Tensor &a, Tensor &out);
 
 /**
  * Reference GEMM — the seed repo's naive single-threaded triple loops,

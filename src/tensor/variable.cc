@@ -80,10 +80,16 @@ Variable::backward() const
     }
 
     // Intermediate (non-leaf) gradients are scratch space: clear them
-    // so repeated backward() calls accumulate into leaves only.
+    // so repeated backward() calls accumulate into leaves only. A
+    // missing gradient is allocated zeroed, so only a gradient left by
+    // an earlier backward() needs the fill.
     for (detail::Node *n : topo) {
-        if (n->backward)
-            n->ensureGrad().fill(0.0f);
+        if (!n->backward)
+            continue;
+        if (n->gradReady)
+            n->grad.fill(0.0f);
+        else
+            n->ensureGrad();
     }
 
     node_->ensureGrad().fill(1.0f);

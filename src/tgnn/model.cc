@@ -171,13 +171,9 @@ TgnnModel::saveTrainingState(ByteWriter &w) const
 }
 
 bool
-TgnnModel::loadTrainingState(ByteReader &r)
+TgnnModel::readStateHeader(ByteReader &r,
+                           const std::vector<StateArray> &arrays)
 {
-    // Check the count, every length and the size before the first
-    // copy: a section written by a differently configured model
-    // differs in the count or in some length, and a failed load must
-    // leave this model untouched.
-    const std::vector<StateArray> arrays = stateArrays();
     uint64_t count = 0;
     if (!r.u64(count) || count != arrays.size())
         return false;
@@ -190,7 +186,25 @@ TgnnModel::loadTrainingState(ByteReader &r)
     }
     constexpr size_t kRngBytes =
         4 * sizeof(uint64_t) + sizeof(double) + sizeof(uint8_t);
-    if (r.remaining() != total + kRngBytes)
+    return r.remaining() == total + kRngBytes;
+}
+
+bool
+TgnnModel::fitsTrainingState(ByteReader r) const
+{
+    // The spans are only compared, never written through.
+    return readStateHeader(r, const_cast<TgnnModel *>(this)->stateArrays());
+}
+
+bool
+TgnnModel::loadTrainingState(ByteReader &r)
+{
+    // Check the count, every length and the size before the first
+    // copy: a section written by a differently configured model
+    // differs in the count or in some length, and a failed load must
+    // leave this model untouched.
+    const std::vector<StateArray> arrays = stateArrays();
+    if (!readStateHeader(r, arrays))
         return false;
 
     // Every read below is in bounds.

@@ -363,6 +363,12 @@ class TgnnModel
      */
     bool loadTrainingState(ByteReader &r);
 
+    /**
+     * The checks of loadTrainingState alone, on a copy of the reader:
+     * true exactly when loading `r` would succeed. Copies nothing.
+     */
+    bool fitsTrainingState(ByteReader r) const;
+
     /** Approximate model parameter bytes (Figure 13c). */
     size_t parameterBytes() const;
 
@@ -387,6 +393,11 @@ class TgnnModel
      * slot count and valid ones capped at it.
      */
     std::vector<StateArray> stateArrays();
+
+    /** Read a section's count and byte lengths; true when they and
+     *  the remaining size match `arrays`. */
+    static bool readStateHeader(ByteReader &r,
+                                const std::vector<StateArray> &arrays);
 
     /** Fresh (message-consumed) memories for a node list. */
     struct FreshMemory

@@ -113,10 +113,10 @@ decodeCheckpoint(const std::string &payload, TgnnModel &model,
         return false;
     }
 
-    // Apply the model first: loadTrainingState checks every length
-    // before it copies a byte, so a config mismatch (the common
-    // failure) rejects before anything mutates.
-    if (!model.loadTrainingState(model_blob)) {
+    // Nothing is applied until nothing can fail: check the model
+    // section without copying, load the batcher (which applies
+    // nothing when it fails), then copy the checked model section.
+    if (!model.fitsTrainingState(model_blob)) {
         CASCADE_LOG("checkpoint: model state does not match this "
                     "model configuration");
         return false;
@@ -126,6 +126,8 @@ decodeCheckpoint(const std::string &payload, TgnnModel &model,
                     "policy/dataset");
         return false;
     }
+    CASCADE_CHECK(model.loadTrainingState(model_blob),
+                  "checkpoint: a checked model section failed to load");
     cursor = std::move(cur);
     return true;
 }

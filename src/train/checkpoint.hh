@@ -27,13 +27,13 @@
  *   str model state blob: u64 #arrays, one u64 byte length per
  *           array, the arrays, then the RNG fields (4 x u64, f64, u8)
  *
- * Decoding checks the header, cursor and batcher name, then applies
- * the model section (its array count, every length and its size are
- * checked before the first copy) and then the batcher section
- * (staged). A truncated or corrupt payload, or one written for another
- * model configuration or policy, leaves the model, optimizer and
- * batcher untouched; a batcher section that fails after a matching
- * model section leaves the model already overwritten.
+ * Decoding checks the header, cursor and batcher name, then the model
+ * section (its array count, every length and its size) without
+ * copying, then loads the batcher section (staged, so a failure
+ * applies nothing), and only then copies the model section, which can
+ * no longer fail. A truncated or corrupt payload, or one written for
+ * another model configuration, policy or dataset, leaves the model,
+ * optimizer, batcher and cursor untouched.
  *
  * Generations (crash survival beyond one file): a checkpoint path
  * `ck.bin` is the head of a rotating family —
@@ -101,8 +101,8 @@ std::string encodeCheckpoint(const TgnnModel &model,
 
 /**
  * Apply a payload produced by encodeCheckpoint. Validates the magic,
- * version and batcher identity and stages all state before any of it
- * is applied.
+ * version, batcher identity and both state sections before the model
+ * or the cursor changes.
  * @return false on corruption or mismatch (targets untouched)
  */
 bool decodeCheckpoint(const std::string &payload, TgnnModel &model,

@@ -327,6 +327,28 @@ TEST(Checkpoint, CorruptOrMismatchedPayloadLeavesTargetsUntouched)
 
     expectParamsEqual(model, before);
     EXPECT_EQ(out.epoch, 99u); // cursor untouched by failed decodes
+
+    // A model section that fits with a batcher section that does not:
+    // the target's Cascade batcher runs over another event sequence,
+    // whose node count SG-Filter refuses after ABS has been read.
+    // Neither the model, nor the batcher, nor the cursor may change.
+    const Fixture g(100.0);
+    ASSERT_NE(g.data.size(), f.data.size());
+    ASSERT_NE(g.spec.numNodes, f.spec.numNodes);
+    CascadeBatcher written = freshCascade(f);
+    const std::string mixed = encodeCheckpoint(model, written, cur);
+    TgnnModel target = freshModel(f, /*seed=*/8);
+    CascadeBatcher elsewhere = freshCascade(g);
+    const auto stateBytes = [&] {
+        ByteWriter mw, bw;
+        target.saveTrainingState(mw);
+        elsewhere.saveState(bw);
+        return std::make_pair(mw.take(), bw.take());
+    };
+    const auto untouched = stateBytes();
+    EXPECT_FALSE(decodeCheckpoint(mixed, target, elsewhere, out));
+    EXPECT_TRUE(stateBytes() == untouched);
+    EXPECT_EQ(out.epoch, 99u);
 }
 
 TEST(Checkpoint, FileLevelCorruptionIsRejected)

@@ -83,23 +83,38 @@ TEST(KernelGemm, MatchesNaiveOracleAllTransposeCombos)
 TEST(KernelGemm, BitIdenticalAcrossThreadCounts)
 {
     // 256^3 * 2 = 33.5 Mflop: well past the parallel-dispatch
-    // threshold, so thread count actually varies the banding.
+    // threshold, so thread count actually varies the banding. The
+    // 244x1800x64 products are the APAN weight gradient (TN) and its
+    // NT counterpart, where each band packs its own panels.
+    struct Case { Trans ta, tb; Tensor a, b; };
     Rng rng(13);
-    Tensor a = Tensor::randn(256, 256, rng);
-    Tensor b = Tensor::randn(256, 256, rng);
+    std::vector<Case> cases;
+    cases.push_back({Trans::None, Trans::None,
+                     Tensor::randn(256, 256, rng),
+                     Tensor::randn(256, 256, rng)});
+    cases.push_back({Trans::Transpose, Trans::None,
+                     Tensor::randn(1800, 244, rng),
+                     Tensor::randn(1800, 64, rng)});
+    cases.push_back({Trans::None, Trans::Transpose,
+                     Tensor::randn(244, 1800, rng),
+                     Tensor::randn(64, 1800, rng)});
 
-    std::vector<Tensor> results;
-    for (size_t threads : {1u, 2u, 8u}) {
-        ThreadPool::setGlobalThreads(threads);
-        results.push_back(kernels::gemm(Trans::None, Trans::None, a, b));
-    }
-    ThreadPool::setGlobalThreads(0);
+    for (const Case &c : cases) {
+        std::vector<Tensor> results;
+        for (size_t threads : {1u, 2u, 8u}) {
+            ThreadPool::setGlobalThreads(threads);
+            results.push_back(kernels::gemm(c.ta, c.tb, c.a, c.b));
+        }
+        ThreadPool::setGlobalThreads(0);
 
-    for (size_t i = 1; i < results.size(); ++i) {
-        ASSERT_TRUE(results[0].sameShape(results[i]));
-        for (size_t j = 0; j < results[0].size(); ++j) {
-            ASSERT_EQ(results[0].data()[j], results[i].data()[j])
-                << "thread-count variant " << i << " diverged at " << j;
+        for (size_t i = 1; i < results.size(); ++i) {
+            ASSERT_TRUE(results[0].sameShape(results[i]));
+            for (size_t j = 0; j < results[0].size(); ++j) {
+                ASSERT_EQ(results[0].data()[j], results[i].data()[j])
+                    << "ta=" << int(c.ta) << " tb=" << int(c.tb)
+                    << " thread-count variant " << i << " diverged at "
+                    << j;
+            }
         }
     }
 }

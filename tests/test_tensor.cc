@@ -96,39 +96,61 @@ TEST(Gemm, MatchesHandComputed)
     EXPECT_FLOAT_EQ(c.at(1, 1), 154.0f);
 }
 
-TEST(Gemm, TransposedVariantsAgree)
-{
-    Rng rng(7);
-    Tensor a = Tensor::randn(4, 5, rng);
-    Tensor b = Tensor::randn(4, 6, rng);
-    // A^T B computed directly vs. via explicit transpose.
-    Tensor at(a.cols(), a.rows());
-    kernels::transpose(a, at);
-    Tensor direct = kernels::gemm(Trans::Transpose, Trans::None, a, b);
-    Tensor viaT = kernels::gemm(Trans::None, Trans::None, at, b);
-    ASSERT_TRUE(direct.sameShape(viaT));
-    for (size_t i = 0; i < direct.size(); ++i)
-        EXPECT_NEAR(direct.data()[i], viaT.data()[i], 1e-4);
+namespace {
 
-    Tensor c = Tensor::randn(6, 5, rng);
-    Tensor ct(c.cols(), c.rows());
-    kernels::transpose(c, ct);
-    Tensor direct2 = kernels::gemm(Trans::None, Trans::Transpose, a, c);
-    Tensor viaT2 = kernels::gemm(Trans::None, Trans::None, a, ct);
-    ASSERT_TRUE(direct2.sameShape(viaT2));
-    for (size_t i = 0; i < direct2.size(); ++i)
-        EXPECT_NEAR(direct2.data()[i], viaT2.data()[i], 1e-4);
+/** Transposed copy, element by element. */
+Tensor
+transposedCopy(const Tensor &x)
+{
+    Tensor t(x.cols(), x.rows());
+    for (size_t r = 0; r < x.rows(); ++r)
+        for (size_t c = 0; c < x.cols(); ++c)
+            t.at(c, r) = x.at(r, c);
+    return t;
 }
 
-TEST(Transpose, RoundTrips)
+} // namespace
+
+TEST(Gemm, TransposedVariantsAgree)
 {
-    Rng rng(9);
-    Tensor a = Tensor::randn(3, 7, rng);
-    Tensor t(7, 3), tt(3, 7);
-    kernels::transpose(a, t);
-    kernels::transpose(t, tt);
-    for (size_t i = 0; i < a.size(); ++i)
-        EXPECT_FLOAT_EQ(a.data()[i], tt.data()[i]);
+    // Reading a transposed operand in place must give the bits of the
+    // untransposed product. m = 9 leaves one edge row after two full
+    // row tiles; n = 1, 8 and 31 are narrow edge panels, 32 and 63
+    // zero-padded panels, 64 one full panel, 65 a full panel plus a
+    // one-column edge, and 244 three full panels plus a 52-column
+    // padded one; k = 1 and k = 1800 bound the inner loop.
+    Rng rng(7);
+    for (size_t k : {size_t(1), size_t(1800)}) {
+        for (size_t n : {1, 8, 31, 32, 63, 64, 65, 244}) {
+            const size_t m = 9;
+            const Tensor a = Tensor::randn(m, k, rng);
+            const Tensor b = Tensor::randn(k, n, rng);
+            const Tensor at = transposedCopy(a), bt = transposedCopy(b);
+            const Tensor base = Tensor::randn(m, n, rng);
+            const Tensor want = kernels::gemm(Trans::None, Trans::None,
+                                              a, b);
+            Tensor want_acc = base;
+            kernels::gemmAcc(Trans::None, Trans::None, a, b, want_acc);
+            for (Trans ta : {Trans::None, Trans::Transpose}) {
+                for (Trans tb : {Trans::None, Trans::Transpose}) {
+                    const Tensor &sa = ta == Trans::None ? a : at;
+                    const Tensor &sb = tb == Trans::None ? b : bt;
+                    const Tensor got = kernels::gemm(ta, tb, sa, sb);
+                    Tensor acc = base;
+                    kernels::gemmAcc(ta, tb, sa, sb, acc);
+                    ASSERT_TRUE(got.sameShape(want));
+                    for (size_t i = 0; i < want.size(); ++i) {
+                        ASSERT_EQ(got.data()[i], want.data()[i])
+                            << "gemm k=" << k << " n=" << n << " ta="
+                            << int(ta) << " tb=" << int(tb) << " at " << i;
+                        ASSERT_EQ(acc.data()[i], want_acc.data()[i])
+                            << "gemmAcc k=" << k << " n=" << n << " ta="
+                            << int(ta) << " tb=" << int(tb) << " at " << i;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(CosineSimilarity, KnownValues)

@@ -25,8 +25,6 @@
  * JSON (--metrics-out).
  */
 
-#include <sys/resource.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -94,15 +92,6 @@ declareFlags(cli::FlagSet &flags, CliOptions &o)
     flags.flagBool("--smoke", &o.smoke,
                    "serve, round-trip an in-process client over the "
                    "socket, shut down, exit");
-}
-
-double
-peakRssMb()
-{
-    struct rusage ru;
-    if (getrusage(RUSAGE_SELF, &ru) != 0)
-        return 0.0;
-    return static_cast<double>(ru.ru_maxrss) / 1024.0; // KiB on Linux
 }
 
 } // namespace
@@ -253,6 +242,6 @@ main(int argc, char **argv)
                 engine.appliedEvents(),
                 static_cast<size_t>(engine.snapshot()->version),
                 static_cast<size_t>(server.requestsServed()),
-                src->resident() ? 0 : 1, peakRssMb());
+                src->resident() ? 0 : 1, cli::peakRssMb());
     return 0;
 }

@@ -43,8 +43,6 @@
  * mode and whether checkpointing is still on.
  */
 
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -152,16 +150,6 @@ declareFlags(cli::FlagSet &flags, CliOptions &o)
                   "worker reply deadline");
 }
 
-/** Peak resident set of this process so far, in MiB. */
-double
-peakRssMb()
-{
-    struct rusage ru;
-    if (getrusage(RUSAGE_SELF, &ru) != 0)
-        return 0.0;
-    return static_cast<double>(ru.ru_maxrss) / 1024.0; // KiB on Linux
-}
-
 } // namespace
 
 int
@@ -196,7 +184,7 @@ main(int argc, char **argv)
         std::printf("exported dataset=%s scale=%.1f events=%zu "
                     "eventlog=%s rss_peak_mb=%.1f\n",
                     opts.dataset.c_str(), opts.scale, spec.numEvents,
-                    opts.exportLogPath.c_str(), peakRssMb());
+                    opts.exportLogPath.c_str(), cli::peakRssMb());
         return 0;
     }
 
@@ -326,7 +314,7 @@ main(int argc, char **argv)
                 r.checkpointRetries, r.degradedMode.c_str(),
                 r.checkpointingDisabled ? "disabled" : "on", r.workers,
                 r.shards, r.workerDeaths,
-                src->resident() ? 0 : 1, peakRssMb());
+                src->resident() ? 0 : 1, cli::peakRssMb());
 
     if (!opts.csvPath.empty()) {
         std::FILE *f = std::fopen(opts.csvPath.c_str(), "a");

@@ -1,5 +1,7 @@
 #include "cli.hh"
 
+#include <sys/resource.h>
+
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -228,6 +230,15 @@ modelByCliName(const std::string &name, size_t dim)
     if (name == "tgat")
         return tgatConfig(dim);
     CASCADE_FATAL("unknown model (see --help)");
+}
+
+double
+peakRssMb()
+{
+    struct rusage ru;
+    if (getrusage(RUSAGE_SELF, &ru) != 0)
+        return 0.0;
+    return static_cast<double>(ru.ru_maxrss) / 1024.0; // KiB on Linux
 }
 
 } // namespace cli

@@ -24,7 +24,8 @@
  * malformed values print an error naming the flag to stderr.
  *
  * The `--dataset` and `--model` name tables that cascade_train and
- * cascade_serve both accept live here too, once.
+ * cascade_serve both accept live here too, once, with the peak-RSS
+ * reading both print in their summary lines.
  */
 
 #ifndef CASCADE_TOOLS_CLI_HH
@@ -145,6 +146,9 @@ DatasetSpec specByName(const std::string &name, double scale);
  * dysat, tgat) at width `dim`; fatal for any other name.
  */
 ModelConfig modelByCliName(const std::string &name, size_t dim);
+
+/** Peak resident set of this process so far, in MiB (0 if unknown). */
+double peakRssMb();
 
 } // namespace cli
 } // namespace cascade
