@@ -46,7 +46,7 @@ class SgFilter
      * Figure 5 stable-update ratio.
      *
      * Takes non-owning views so callers hand over whatever contiguous
-     * storage they already have (vectors, pooled arrays, subranges)
+     * storage they already have (vectors, arrays, subranges)
      * without a copy.
      */
     void update(std::span<const NodeId> nodes,

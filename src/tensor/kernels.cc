@@ -21,7 +21,6 @@
 
 #include "util/logging.hh"
 #include "util/parallel.hh"
-#include "util/thread_annotations.hh"
 
 namespace cascade {
 namespace kernels {
@@ -34,137 +33,12 @@ namespace {
 std::atomic<uint64_t> gemmCalls{0};
 std::atomic<uint64_t> gemmFlops{0};
 std::atomic<uint64_t> elementwiseCalls{0};
-std::atomic<uint64_t> poolHits{0};
-std::atomic<uint64_t> poolMisses{0};
-std::atomic<uint64_t> poolReturns{0};
-std::atomic<uint64_t> poolEvictions{0};
-std::atomic<uint64_t> poolCachedBytes{0};
 
 inline void
 bump(std::atomic<uint64_t> &counter, uint64_t n = 1)
 {
     counter.fetch_add(n, std::memory_order_relaxed);
 }
-
-/* ------------------------------------------------------------------ */
-/* Buffer pool                                                         */
-
-/**
- * Bounded free list of float buffers. Best-fit acquire; buffers whose
- * capacity would blow the caps are dropped on release instead of
- * cached. All hot-path tensors in a training step cycle through here
- * once the autograd graph of the first batch has been torn down.
- */
-class BufferPool
-{
-  public:
-    /** A buffer of n floats; with `zeroed` every one of them is 0,
-     *  written once (a miss is value-initialized already). */
-    std::vector<float>
-    acquire(size_t n, bool zeroed)
-    {
-        // Only the free-list scan runs under the shard mutex; the
-        // O(n) resize (zero-fill of the grown region) happens after
-        // release so a large acquire cannot stall every concurrent
-        // recycle — lock-hold-time fix from the PR-5 TSan/annotation
-        // pass. The pool is sharded by thread so concurrent query
-        // threads (the serve read path spins hundreds of small
-        // tensors per request) never contend on one free list.
-        Shard &sh = shards_[shardIndex()];
-        std::vector<float> buf;
-        bool hit = false;
-        {
-            LockGuard lock(sh.m_);
-            size_t best = sh.free_.size();
-            for (size_t i = 0; i < sh.free_.size(); ++i) {
-                if (sh.free_[i].capacity() < n)
-                    continue;
-                if (best == sh.free_.size() ||
-                    sh.free_[i].capacity() <
-                        sh.free_[best].capacity()) {
-                    best = i;
-                }
-            }
-            if (best != sh.free_.size()) {
-                buf = std::move(sh.free_[best]);
-                sh.free_[best] = std::move(sh.free_.back());
-                sh.free_.pop_back();
-                poolCachedBytes.fetch_sub(
-                    buf.capacity() * sizeof(float),
-                    std::memory_order_relaxed);
-                hit = true;
-            }
-        }
-        if (hit) {
-            bump(poolHits);
-            if (zeroed)
-                buf.assign(n, 0.0f);
-            else
-                buf.resize(n);
-            return buf;
-        }
-        bump(poolMisses);
-        return std::vector<float>(n);
-    }
-
-    void
-    release(std::vector<float> &&buf)
-    {
-        const size_t bytes = buf.capacity() * sizeof(float);
-        if (bytes == 0)
-            return;
-        poolReturns.fetch_add(1, std::memory_order_relaxed);
-        Shard &sh = shards_[shardIndex()];
-        LockGuard lock(sh.m_);
-        if (sh.free_.size() >= kMaxBuffersPerShard ||
-            bytes > kMaxBufferBytes ||
-            poolCachedBytes.load(std::memory_order_relaxed) + bytes >
-                kMaxCachedBytes) {
-            poolEvictions.fetch_add(1, std::memory_order_relaxed);
-            return; // buf freed here
-        }
-        poolCachedBytes.fetch_add(bytes, std::memory_order_relaxed);
-        sh.free_.push_back(std::move(buf));
-    }
-
-    /** Intentionally leaked: outlives every static that owns tensors. */
-    static BufferPool &
-    global()
-    {
-        static BufferPool *pool = new BufferPool();
-        return *pool;
-    }
-
-  private:
-    static constexpr size_t kShards = 8;
-    static constexpr size_t kMaxBuffersPerShard = 64;
-    static constexpr size_t kMaxBufferBytes = 64ull << 20;
-    static constexpr size_t kMaxCachedBytes = 192ull << 20;
-
-    struct Shard
-    {
-        AnnotatedMutex m_;
-        /** The free list proper; poolCachedBytes mirrors the byte
-         *  total across shards (mutations happen under the shard
-         *  mutex, the atomic only exists so stats() and the caps can
-         *  read it without every lock). */
-        std::vector<std::vector<float>> free_ CASCADE_GUARDED_BY(m_);
-    };
-
-    /** Stable per-thread shard. A buffer released on a different
-     *  thread than it was acquired on just migrates shards — only the
-     *  hit rate is affected, never correctness. */
-    static size_t
-    shardIndex()
-    {
-        static std::atomic<size_t> next{0};
-        thread_local size_t idx =
-            next.fetch_add(1, std::memory_order_relaxed) % kShards;
-        return idx;
-    }
-
-    Shard shards_[kShards];
-};
 
 /* ------------------------------------------------------------------ */
 /* GEMM core                                                           */
@@ -419,10 +293,8 @@ void
 gemm(Trans ta, Trans tb, const Tensor &a, const Tensor &b, Tensor &out)
 {
     const size_t m = opRows(ta, a), n = opCols(tb, b);
-    if (out.rows() != m || out.cols() != n) {
-        recycle(std::move(out));
-        out = uninit(m, n);
-    }
+    if (out.rows() != m || out.cols() != n)
+        out = Tensor(m, n);
     gemmInto(ta, tb, a, b, out, /*accumulate=*/false);
 }
 
@@ -436,42 +308,9 @@ gemmAcc(Trans ta, Trans tb, const Tensor &a, const Tensor &b,
 Tensor
 gemm(Trans ta, Trans tb, const Tensor &a, const Tensor &b)
 {
-    Tensor out = uninit(opRows(ta, a), opCols(tb, b));
+    Tensor out(opRows(ta, a), opCols(tb, b));
     gemmInto(ta, tb, a, b, out, /*accumulate=*/false);
     return out;
-}
-
-/* ------------------------------------------------------------------ */
-/* Pooled tensors                                                      */
-
-Tensor
-zeros(size_t rows, size_t cols)
-{
-    return Tensor(rows, cols,
-                  BufferPool::global().acquire(rows * cols, true));
-}
-
-Tensor
-uninit(size_t rows, size_t cols)
-{
-    return Tensor(rows, cols,
-                  BufferPool::global().acquire(rows * cols, false));
-}
-
-Tensor
-copyOf(const Tensor &src)
-{
-    std::vector<float> buf =
-        BufferPool::global().acquire(src.size(), false);
-    if (src.size() > 0)
-        std::memcpy(buf.data(), src.data(), src.size() * sizeof(float));
-    return Tensor(src.rows(), src.cols(), std::move(buf));
-}
-
-void
-recycle(Tensor &&t)
-{
-    BufferPool::global().release(std::move(t).takeData());
 }
 
 /* ------------------------------------------------------------------ */
@@ -603,25 +442,7 @@ stats()
     s.gemmFlops = gemmFlops.load(std::memory_order_relaxed);
     s.elementwiseCalls =
         elementwiseCalls.load(std::memory_order_relaxed);
-    s.poolHits = poolHits.load(std::memory_order_relaxed);
-    s.poolMisses = poolMisses.load(std::memory_order_relaxed);
-    s.poolReturns = poolReturns.load(std::memory_order_relaxed);
-    s.poolEvictions = poolEvictions.load(std::memory_order_relaxed);
-    s.poolCachedBytes =
-        poolCachedBytes.load(std::memory_order_relaxed);
     return s;
-}
-
-void
-resetStats()
-{
-    gemmCalls.store(0, std::memory_order_relaxed);
-    gemmFlops.store(0, std::memory_order_relaxed);
-    elementwiseCalls.store(0, std::memory_order_relaxed);
-    poolHits.store(0, std::memory_order_relaxed);
-    poolMisses.store(0, std::memory_order_relaxed);
-    poolReturns.store(0, std::memory_order_relaxed);
-    poolEvictions.store(0, std::memory_order_relaxed);
 }
 
 } // namespace kernels

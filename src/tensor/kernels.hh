@@ -31,17 +31,14 @@
  *    bit-identical for *any* thread count — stronger than the
  *    fixed-thread-count contract PR 1's golden-trajectory test needs.
  *
- *  - A thread-safe buffer pool. Autograd nodes return their tensor
- *    storage here on destruction; ops acquire forward outputs and
- *    gradients from it. The pool is capped (8 shards x 64 buffers,
- *    192 MiB), so it reuses part of the storage, not all of it:
- *    nodes also return tensors the pool never handed out, and the
- *    caps drop the excess. zeros() writes each zero once.
+ *  - Plain storage. Every output is an ordinary Tensor with one
+ *    owner; an autograd node's value and gradient are freed with the
+ *    node. DESIGN.md §9 records why there is no buffer pool.
  *
- *  - Observability. Kernel invocations, GEMM flops and pool hit/miss
- *    tallies are counted in process-wide atomics read through
- *    stats(); a TrainingSession publishes the change over its run as
- *    `kernels.*` counters in its MetricsRegistry.
+ *  - Observability. Kernel invocations and GEMM flops are counted in
+ *    process-wide atomics read through stats(); a TrainingSession
+ *    publishes the change over its run as `kernels.*` counters in its
+ *    MetricsRegistry.
  */
 
 #ifndef CASCADE_TENSOR_KERNELS_HH
@@ -75,7 +72,7 @@ void gemm(Trans ta, Trans tb, const Tensor &a, const Tensor &b,
 CASCADE_TRAJECTORY
 void gemmAcc(Trans ta, Trans tb, const Tensor &a, const Tensor &b,
              Tensor &out);
-/** Convenience overload returning a pool-backed tensor. */
+/** Convenience overload returning a new m x n tensor. */
 CASCADE_TRAJECTORY
 Tensor gemm(Trans ta, Trans tb, const Tensor &a, const Tensor &b);
 /** @} */
@@ -87,23 +84,9 @@ Tensor gemm(Trans ta, Trans tb, const Tensor &a, const Tensor &b);
  */
 Tensor naiveGemm(Trans ta, Trans tb, const Tensor &a, const Tensor &b);
 
-/** @name Pooled tensor storage
- * acquire/release of float buffers through a bounded, thread-safe
- * free list. zeros()/uninit()/copyOf() build tensors on pooled
- * storage; recycle() returns a tensor's storage (autograd nodes do
- * this automatically on destruction). uninit() contents are
- * unspecified — callers must overwrite every element.
- */
-/** @{ */
-Tensor zeros(size_t rows, size_t cols);
-Tensor uninit(size_t rows, size_t cols);
-Tensor copyOf(const Tensor &src);
-void recycle(Tensor &&t);
-/** @} */
-
 /** @name Elementwise / reduction kernels (out-parameter variants)
- * `out` is fully overwritten and may be pool-backed; shapes are
- * checked. axpy() accumulates in place (y += alpha * x).
+ * `out` is fully overwritten; shapes are checked. axpy() accumulates
+ * in place (y += alpha * x).
  */
 /** @{ */
 void add(const Tensor &a, const Tensor &b, Tensor &out);
@@ -125,23 +108,21 @@ void colSum(const Tensor &a, Tensor &out);
  */
 double cosineOverwrite(float *dst, const float *src, size_t n);
 
-/** Point-in-time copy of the kernel/pool counters. */
+/** Point-in-time copy of the kernel counters. */
 struct KernelStats
 {
     uint64_t gemmCalls = 0;        ///< gemm + gemmAcc invocations
     uint64_t gemmFlops = 0;        ///< 2*m*k*n summed over calls
     uint64_t elementwiseCalls = 0; ///< out-param elementwise/reduction calls
-    uint64_t poolHits = 0;         ///< acquires served from the free list
-    uint64_t poolMisses = 0;       ///< acquires that heap-allocated
-    uint64_t poolReturns = 0;      ///< buffers recycled into the pool
-    uint64_t poolEvictions = 0;    ///< returns dropped by the size caps
-    uint64_t poolCachedBytes = 0;  ///< bytes currently parked in the pool
+    /** Always 0: there is no buffer pool. Kept only because perfbench
+     *  still reads them for its `tensor.pool_*` metrics; they go with
+     *  the next change to the benchmark. */
+    uint64_t poolHits = 0;
+    uint64_t poolMisses = 0;
+    uint64_t poolCachedBytes = 0;
 };
 
 KernelStats stats();
-
-/** Zero every counter (bench runs; cached pool bytes are kept). */
-void resetStats();
 
 } // namespace kernels
 

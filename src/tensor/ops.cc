@@ -58,7 +58,7 @@ add(const Variable &a, const Variable &b)
     NodePtr pa = a.node(), pb = b.node();
 
     if (av.sameShape(bv)) {
-        Tensor out = kernels::uninit(av.rows(), av.cols());
+        Tensor out(av.rows(), av.cols());
         kernels::add(av, bv, out);
         return makeNode(std::move(out), {pa, pb}, [pa, pb](Node &n) {
             if (pa->requiresGrad)
@@ -69,7 +69,7 @@ add(const Variable &a, const Variable &b)
     }
     if (bv.rows() == 1 && bv.cols() == av.cols()) {
         // Row-broadcast bias.
-        Tensor out = kernels::copyOf(av);
+        Tensor out = av;
         for (size_t r = 0; r < out.rows(); ++r)
             for (size_t c = 0; c < out.cols(); ++c)
                 out.at(r, c) += bv.at(0, c);
@@ -77,18 +77,16 @@ add(const Variable &a, const Variable &b)
             if (pa->requiresGrad)
                 pa->ensureGrad() += n.grad;
             if (pb->requiresGrad) {
-                // 1xC bias gradient: column-sum of the upstream grad,
-                // accumulated via a pooled scratch row.
-                Tensor scratch = kernels::uninit(1, n.grad.cols());
+                // 1xC bias gradient: column-sum of the upstream grad.
+                Tensor scratch(1, n.grad.cols());
                 kernels::colSum(n.grad, scratch);
                 pb->ensureGrad() += scratch;
-                kernels::recycle(std::move(scratch));
             }
         });
     }
     if (bv.cols() == 1 && bv.rows() == av.rows()) {
         // Column-broadcast (per-row scalar).
-        Tensor out = kernels::copyOf(av);
+        Tensor out = av;
         for (size_t r = 0; r < out.rows(); ++r)
             for (size_t c = 0; c < out.cols(); ++c)
                 out.at(r, c) += bv.at(r, 0);
@@ -110,7 +108,7 @@ Variable
 sub(const Variable &a, const Variable &b)
 {
     CASCADE_CHECK(a.value().sameShape(b.value()), "sub shape mismatch");
-    Tensor out = kernels::uninit(a.value().rows(), a.value().cols());
+    Tensor out(a.value().rows(), a.value().cols());
     kernels::sub(a.value(), b.value(), out);
     NodePtr pa = a.node(), pb = b.node();
     return makeNode(std::move(out), {pa, pb}, [pa, pb](Node &n) {
@@ -129,7 +127,7 @@ mul(const Variable &a, const Variable &b)
     NodePtr pa = a.node(), pb = b.node();
 
     if (av.sameShape(bv)) {
-        Tensor out = kernels::uninit(av.rows(), av.cols());
+        Tensor out(av.rows(), av.cols());
         kernels::hadamard(av, bv, out);
         return makeNode(std::move(out), {pa, pb}, [pa, pb](Node &n) {
             if (pa->requiresGrad) {
@@ -146,7 +144,7 @@ mul(const Variable &a, const Variable &b)
     }
     CASCADE_CHECK(bv.cols() == 1 && bv.rows() == av.rows(),
                   "mul: b must match a or be a Bx1 column");
-    Tensor out = kernels::copyOf(av);
+    Tensor out = av;
     for (size_t r = 0; r < out.rows(); ++r) {
         const float s = bv.at(r, 0);
         for (size_t c = 0; c < out.cols(); ++c)
@@ -177,7 +175,7 @@ mul(const Variable &a, const Variable &b)
 Variable
 scale(const Variable &a, float s)
 {
-    Tensor out = kernels::uninit(a.value().rows(), a.value().cols());
+    Tensor out(a.value().rows(), a.value().cols());
     kernels::scale(a.value(), s, out);
     NodePtr pa = a.node();
     return makeNode(std::move(out), {pa}, [pa, s](Node &n) {
@@ -195,7 +193,7 @@ Variable
 elementwise(const Variable &a, Fwd fwd, Bwd bwd)
 {
     const Tensor &av = a.value();
-    Tensor out = kernels::uninit(av.rows(), av.cols());
+    Tensor out(av.rows(), av.cols());
     for (size_t i = 0; i < av.size(); ++i)
         out.data()[i] = fwd(av.data()[i]);
     NodePtr pa = a.node();
@@ -266,7 +264,7 @@ concatCols(const Variable &a, const Variable &b)
     const Tensor &av = a.value();
     const Tensor &bv = b.value();
     CASCADE_CHECK(av.rows() == bv.rows(), "concatCols row mismatch");
-    Tensor out = kernels::uninit(av.rows(), av.cols() + bv.cols());
+    Tensor out(av.rows(), av.cols() + bv.cols());
     for (size_t r = 0; r < av.rows(); ++r) {
         std::copy(av.row(r), av.row(r) + av.cols(), out.row(r));
         std::copy(bv.row(r), bv.row(r) + bv.cols(),
@@ -295,7 +293,7 @@ sliceCols(const Variable &a, size_t c0, size_t c1)
 {
     const Tensor &av = a.value();
     CASCADE_CHECK(c0 < c1 && c1 <= av.cols(), "sliceCols bad range");
-    Tensor out = kernels::uninit(av.rows(), c1 - c0);
+    Tensor out(av.rows(), c1 - c0);
     for (size_t r = 0; r < av.rows(); ++r)
         std::copy(av.row(r) + c0, av.row(r) + c1, out.row(r));
     NodePtr pa = a.node();
@@ -313,7 +311,7 @@ Variable
 gatherRows(const Variable &a, std::vector<int64_t> rows)
 {
     const Tensor &av = a.value();
-    Tensor out = kernels::uninit(rows.size(), av.cols());
+    Tensor out(rows.size(), av.cols());
     for (size_t i = 0; i < rows.size(); ++i) {
         CASCADE_CHECK(rows[i] >= 0 &&
                           static_cast<size_t>(rows[i]) < av.rows(),
@@ -354,7 +352,7 @@ Variable
 rowSum(const Variable &a)
 {
     const Tensor &av = a.value();
-    Tensor out = kernels::uninit(av.rows(), 1);
+    Tensor out(av.rows(), 1);
     kernels::rowSum(av, out);
     NodePtr pa = a.node();
     return makeNode(std::move(out), {pa}, [pa](Node &n) {
@@ -385,7 +383,7 @@ groupedMeanRows(const Variable &a, size_t k)
     CASCADE_CHECK(k > 0 && av.rows() % k == 0,
                   "groupedMeanRows: rows not divisible by k");
     const size_t groups = av.rows() / k;
-    Tensor out = kernels::zeros(groups, av.cols());
+    Tensor out(groups, av.cols());
     const float inv = 1.0f / static_cast<float>(k);
     for (size_t g = 0; g < groups; ++g)
         for (size_t j = 0; j < k; ++j)
@@ -410,7 +408,7 @@ groupedSoftmax(const Variable &scores, size_t k)
     CASCADE_CHECK(k > 0 && sv.rows() % k == 0,
                   "groupedSoftmax: rows not divisible by k");
     const size_t groups = sv.rows() / k;
-    Tensor out = kernels::uninit(sv.rows(), 1);
+    Tensor out(sv.rows(), 1);
     for (size_t g = 0; g < groups; ++g) {
         float mx = sv.at(g * k, 0);
         for (size_t j = 1; j < k; ++j)
@@ -456,7 +454,7 @@ groupedWeightedSum(const Variable &weights, const Variable &feats, size_t k)
     CASCADE_CHECK(k > 0 && fv.rows() % k == 0,
                   "groupedWeightedSum: rows not divisible by k");
     const size_t groups = fv.rows() / k;
-    Tensor out = kernels::zeros(groups, fv.cols());
+    Tensor out(groups, fv.cols());
     for (size_t g = 0; g < groups; ++g)
         for (size_t j = 0; j < k; ++j) {
             const float w = wv.at(g * k + j, 0);
@@ -526,7 +524,7 @@ bceWithLogits(const Variable &logits, const Tensor &targets)
 Tensor
 sigmoidRaw(const Tensor &a)
 {
-    Tensor out = kernels::uninit(a.rows(), a.cols());
+    Tensor out(a.rows(), a.cols());
     for (size_t i = 0; i < out.size(); ++i) {
         const float x = a.data()[i];
         out.data()[i] = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))

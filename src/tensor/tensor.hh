@@ -82,17 +82,6 @@ class Tensor
     /** Copy row r of src into row r of *this. */
     void copyRowFrom(size_t dst_row, const Tensor &src, size_t src_row);
 
-    /**
-     * Steal the backing storage, leaving a 0x0 tensor. Used by
-     * kernels::recycle to park buffers in the kernel buffer pool.
-     */
-    std::vector<float>
-    takeData() &&
-    {
-        rows_ = cols_ = 0;
-        return std::move(data_);
-    }
-
   private:
     size_t rows_;
     size_t cols_;

@@ -2,28 +2,17 @@
 
 #include <unordered_set>
 
-#include "tensor/kernels.hh"
 #include "util/logging.hh"
 
 namespace cascade {
 
 namespace detail {
 
-Node::~Node()
-{
-    // Tensors that flowed through the autograd graph are the compute
-    // hot path's dominant allocations; parking their storage in the
-    // kernel buffer pool lets the next batch's forward/backward pass
-    // run allocation-free.
-    kernels::recycle(std::move(value));
-    kernels::recycle(std::move(grad));
-}
-
 Tensor &
 Node::ensureGrad()
 {
     if (!gradReady) {
-        grad = kernels::zeros(value.rows(), value.cols());
+        grad = Tensor(value.rows(), value.cols());
         gradReady = true;
     }
     return grad;

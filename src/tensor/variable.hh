@@ -35,12 +35,10 @@ struct Node
     std::function<void(Node &)> backward;
 
     Node() = default;
-    /** Returns value/grad storage to the kernel buffer pool. */
-    ~Node();
     Node(const Node &) = delete;
     Node &operator=(const Node &) = delete;
 
-    /** Gradient tensor, pool-allocated zeroed on first access. */
+    /** Gradient tensor, allocated zeroed on first access. */
     Tensor &ensureGrad();
 };
 

@@ -88,6 +88,12 @@ decodeCheckpoint(const std::string &payload, TgnnModel &model,
         CASCADE_LOG("checkpoint: inconsistent epoch counts");
         return false;
     }
+    // Each epoch record is five 8-byte fields: refuse a count the
+    // payload cannot hold before allocating for it.
+    if (epochs > r.remaining() / (5 * sizeof(uint64_t))) {
+        CASCADE_LOG("checkpoint: epoch count exceeds the payload");
+        return false;
+    }
     cur.completed.resize(static_cast<size_t>(epochs));
     for (EpochStats &es : cur.completed) {
         uint64_t batches = 0;

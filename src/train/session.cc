@@ -453,10 +453,6 @@ TrainingSession::assembleReport()
         .add(k.gemmFlops - kernelsAtStart_.gemmFlops);
     m.counter("kernels.elementwise.calls")
         .add(k.elementwiseCalls - kernelsAtStart_.elementwiseCalls);
-    m.counter("kernels.pool.hits")
-        .add(k.poolHits - kernelsAtStart_.poolHits);
-    m.counter("kernels.pool.misses")
-        .add(k.poolMisses - kernelsAtStart_.poolMisses);
 
     // Session facts without an instrument of their own.
     report_.epochs = cur_.completed;

@@ -3,10 +3,10 @@
  * Clang thread-safety ("capability") annotations and annotated lock
  * primitives.
  *
- * The concurrency contracts that PRs 2-4 introduced (the ThreadPool's
- * task queue, the kernels buffer pool, per-instrument metrics locks,
- * the fault-injection state) used to live only in comments. This
- * header turns them into machine-checked invariants: data members are
+ * The concurrency contracts (the ThreadPool's task queue,
+ * per-instrument metrics locks, the fault-injection state) used to
+ * live only in comments. This header turns them into
+ * machine-checked invariants: data members are
  * declared CASCADE_GUARDED_BY(lock), functions declare what they
  * CASCADE_REQUIRES, and the `analyze` CMake preset compiles the tree
  * with `-Wthread-safety -Werror=thread-safety`, so touching a guarded

@@ -324,6 +324,14 @@ TEST(Checkpoint, CorruptOrMismatchedPayloadLeavesTargetsUntouched)
     // Wrong model shape.
     TgnnModel wide(tgnConfig(32), f.spec.numNodes, f.data.featDim(), 7);
     EXPECT_FALSE(decodeCheckpoint(payload, wide, batcher, out));
+    // An epoch count the payload cannot hold: 2^50 records (byte 72),
+    // with the cursor's epoch (byte 8) as large so the count passes
+    // that check. Refused before anything is allocated for it.
+    std::string huge = payload;
+    for (size_t at : {size_t(8), size_t(72)})
+        for (size_t i = 0; i < 8; ++i)
+            huge[at + i] = static_cast<char>((uint64_t(1) << 50) >> (8 * i));
+    EXPECT_FALSE(decodeCheckpoint(huge, model, batcher, out));
 
     expectParamsEqual(model, before);
     EXPECT_EQ(out.epoch, 99u); // cursor untouched by failed decodes

@@ -1,9 +1,8 @@
 /**
  * @file
  * Oracle tests for the blocked GEMM kernel against the retained naive
- * reference, the determinism-across-threads contract, the pooled
- * buffer allocator, the fused cosine-overwrite kernel and the kernel
- * metrics binding.
+ * reference, the determinism-across-threads contract, the fused
+ * cosine-overwrite kernel and the kernel metrics binding.
  */
 
 #include <gtest/gtest.h>
@@ -146,23 +145,6 @@ TEST(KernelGemm, OutParamReshapesWrongShape)
     EXPECT_EQ(out.cols(), 2u);
     Tensor want = kernels::naiveGemm(Trans::None, Trans::None, a, b);
     EXPECT_LE(maxAbsDiff(out, want), 1e-4);
-}
-
-TEST(KernelPool, RecycledBuffersAreReusedAndZeroed)
-{
-    const kernels::KernelStats before = kernels::stats();
-
-    Tensor t = kernels::uninit(32, 32);
-    t.fill(5.0f); // dirty the storage
-    kernels::recycle(std::move(t));
-
-    Tensor z = kernels::zeros(32, 32);
-    for (size_t i = 0; i < z.size(); ++i)
-        ASSERT_EQ(z.data()[i], 0.0f);
-
-    const kernels::KernelStats after = kernels::stats();
-    EXPECT_GE(after.poolReturns, before.poolReturns + 1);
-    EXPECT_GE(after.poolHits, before.poolHits + 1);
 }
 
 TEST(KernelElementwise, OutParamVariantsMatchOperators)

@@ -658,7 +658,8 @@ TEST(TrainingSession, PublishesBatcherStateAtRunEnd)
           "train.rollbacks", "device.total_seconds", "device.batches",
           "model.steps", "model.events", "model.work_rows",
           "model.sampled_neighbors", "checkpoint.write_failures",
-          "worker.rebalances"}) {
+          "worker.rebalances", "kernels.pool.hits",
+          "kernels.pool.misses"}) {
         EXPECT_EQ(m.findCounter(name), nullptr) << name;
         EXPECT_EQ(m.findGauge(name), nullptr) << name;
         EXPECT_EQ(m.findHistogram(name), nullptr) << name;
@@ -686,12 +687,9 @@ TEST(TrainingSession, KernelCountersCoverTheRun)
     const obs::MetricsRegistry &m = session.metrics();
     ASSERT_NE(m.findHistogram("stage.eval.seconds"), nullptr);
     ASSERT_NE(m.findCounter("kernels.gemm.calls"), nullptr);
-    ASSERT_NE(m.findCounter("kernels.pool.misses"), nullptr);
     EXPECT_GT(m.findCounter("kernels.gemm.calls")->value(), 0u);
     EXPECT_EQ(m.findCounter("kernels.gemm.calls")->value(),
               after.gemmCalls - before.gemmCalls);
-    EXPECT_EQ(m.findCounter("kernels.pool.misses")->value(),
-              after.poolMisses - before.poolMisses);
 }
 
 TEST(TrainingSession, RunsAtMostOnce)

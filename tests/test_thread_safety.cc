@@ -4,9 +4,9 @@
  * `tsan` preset (DESIGN.md "Static analysis & concurrency contracts").
  *
  * Each test provokes *real* concurrent access to one of the
- * lock-protected structures PRs 2–4 introduced: the MetricsRegistry
- * instrument directories, per-histogram aggregation state, the
- * kernels buffer pool, and the ThreadPool's inflight/error slots.
+ * lock-protected structures: the MetricsRegistry instrument
+ * directories, per-histogram aggregation state, and the ThreadPool's
+ * inflight/error slots.
  * Under the default preset they are plain correctness checks; under
  * `cmake --preset tsan && ctest --preset tsan` ThreadSanitizer turns
  * any missing synchronization into a hard failure, which is how CI
@@ -26,8 +26,6 @@
 #include <vector>
 
 #include "obs/metrics.hh"
-#include "tensor/kernels.hh"
-#include "tensor/tensor.hh"
 #include "util/parallel.hh"
 
 namespace cascade {
@@ -129,47 +127,6 @@ TEST(ThreadSafety, ConcurrentHistogramWritesAndReads)
               uint64_t(kWriters) * uint64_t(kRecordsPerWriter));
 }
 
-TEST(ThreadSafety, ConcurrentBufferPoolZerosAndRecycle)
-{
-    // The kernels buffer pool is shared by every worker in a step:
-    // concurrent acquire (zeros/uninit) and recycle must neither race
-    // nor hand the same storage to two threads. The sentinel write
-    // pattern catches aliasing: each thread brands its tensors and
-    // verifies the brand before recycling.
-    constexpr int kThreads = 8;
-    constexpr int kRounds = 200;
-    SpinBarrier barrier(kThreads);
-    std::atomic<int> aliasErrors{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&barrier, &aliasErrors, t] {
-            barrier.arriveAndWait();
-            const float brand = float(t + 1);
-            for (int i = 0; i < kRounds; ++i) {
-                Tensor a = kernels::zeros(4, 16);
-                Tensor b = kernels::uninit(4, 16);
-                for (size_t k = 0; k < 4 * 16; ++k) {
-                    if (a.data()[k] != 0.0f)
-                        aliasErrors.fetch_add(1);
-                    a.data()[k] = brand;
-                    b.data()[k] = brand;
-                }
-                for (size_t k = 0; k < 4 * 16; ++k) {
-                    if (a.data()[k] != brand || b.data()[k] != brand)
-                        aliasErrors.fetch_add(1);
-                }
-                kernels::recycle(std::move(a));
-                kernels::recycle(std::move(b));
-            }
-        });
-    }
-    for (auto &th : threads)
-        th.join();
-    EXPECT_EQ(aliasErrors.load(), 0)
-        << "buffer pool handed aliased or dirty storage to a thread";
-}
-
 TEST(ThreadSafety, ThreadPoolSubmitDuringWait)
 {
     // One thread blocks in wait() while others keep submitting: the
@@ -243,10 +200,6 @@ TEST(ThreadSafety, ConcurrentMetricWritesDuringPipelinedWork)
     parallelFor(0, kItems, [&](size_t i) {
         events.add(1);
         lat.record(double(i % 31));
-        if (i % 64 == 0) {
-            Tensor t = kernels::zeros(2, 8);
-            kernels::recycle(std::move(t));
-        }
     });
     done.store(true, std::memory_order_release);
     poller.join();

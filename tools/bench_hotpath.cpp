@@ -10,8 +10,8 @@
  * shape gets slower as threads are added (the parallel-cutover
  * check). The shapes include the three GEMMs of an APAN training step
  * at dim 64 (forward NN, input gradient NT, weight gradient TN).
- * End-to-end training throughput and the buffer-pool hit ratio are
- * perfbench's (perfbench/README.md), measured on realistic workloads.
+ * End-to-end training throughput is perfbench's (perfbench/README.md),
+ * measured on realistic workloads.
  *
  * Each timing is a trimmed mean: one untimed warmup run, then `reps`
  * timed runs with the min and max dropped (when reps >= 3). Results
@@ -23,16 +23,14 @@
  * Usage: bench_hotpath [--smoke] [--reps N] [--out PATH]
  */
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "bench_env.hh"
 #include "tensor/kernels.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
@@ -126,57 +124,6 @@ benchGemmShape(const GemmShape &s, size_t threads, size_t reps,
     return res;
 }
 
-/** The first "model name" of /proc/cpuinfo. */
-std::string
-cpuModel()
-{
-    std::ifstream in("/proc/cpuinfo");
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.rfind("model name", 0) == 0) {
-            const size_t colon = line.find(':');
-            if (colon != std::string::npos && colon + 2 <= line.size())
-                return line.substr(colon + 2);
-        }
-    }
-    return "unavailable";
-}
-
-/** HEAD of the source tree this binary was configured from, with
- *  "-dirty" when tracked files differ from it. */
-std::string
-gitCommit()
-{
-    const std::string cmd = std::string("cd '") + CASCADE_SOURCE_DIR +
-        "' 2>/dev/null && git rev-parse HEAD 2>/dev/null && "
-        "{ git diff --quiet HEAD 2>/dev/null || echo dirty; }";
-    std::FILE *p = popen(cmd.c_str(), "r");
-    if (!p)
-        return "unavailable";
-    char sha[64] = {}, dirty[16] = {};
-    const bool got = std::fgets(sha, sizeof sha, p) != nullptr;
-    const bool is_dirty = got && std::fgets(dirty, sizeof dirty, p);
-    const int status = pclose(p);
-    const size_t len = std::strcspn(sha, "\r\n");
-    if (status != 0 || len != 40)
-        return "unavailable";
-    return std::string(sha, len) + (is_dirty ? "-dirty" : "");
-}
-
-/** s as a JSON string literal. */
-std::string
-jsonString(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) >= 0x20)
-            out += c;
-    }
-    return out + "\"";
-}
-
 } // namespace
 
 int
@@ -202,9 +149,8 @@ main(int argc, char **argv)
     if (smoke)
         reps = std::min<size_t>(reps, 2);
 
-    // Read before any pool thread exists: gitCommit() forks.
-    const long online = sysconf(_SC_NPROCESSORS_ONLN);
-    const std::string cpu = cpuModel(), commit = gitCommit();
+    // Read before any pool thread exists: it forks.
+    const std::string env = bench::envJson();
 
     // The 512^3 point backs the documented >=3x acceptance threshold;
     // the odd shape exercises the register-tile edge paths. The last
@@ -293,15 +239,7 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(f, "  \"reps\": %zu,\n", reps);
     std::fprintf(f, "  \"seed\": 1234,\n");
-    std::fprintf(f,
-                 "  \"env\": {\"nproc\": %ld, \"cpu_model\": %s, "
-                 "\"compiler\": %s, \"build_type\": %s, "
-                 "\"kernel_flags\": %s, \"git_commit\": %s},\n",
-                 online, jsonString(cpu).c_str(),
-                 jsonString(CASCADE_COMPILER).c_str(),
-                 jsonString(CASCADE_BUILD_TYPE).c_str(),
-                 jsonString(CASCADE_KERNEL_FLAGS).c_str(),
-                 jsonString(commit).c_str());
+    std::fprintf(f, "  \"env\": %s,\n", env.c_str());
     std::fprintf(f, "  \"gemm\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
         const GemmResult &r = results[i];

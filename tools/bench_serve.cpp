@@ -19,9 +19,10 @@
  *    must stay under P99_BUDGET_MS (recorded in the JSON).
  *
  * Results are written as BENCH_serve.json (schema
- * cascade.bench_serve.v1); `--smoke` shrinks the dataset and query
- * count to a seconds-long CI run and skips the throughput gate
- * (shared CI runners are too noisy to gate on).
+ * cascade.bench_serve.v2) with the same environment block as
+ * BENCH_hotpath.json; `--smoke` shrinks the dataset and query count
+ * to a seconds-long CI run and skips the throughput gate (shared CI
+ * runners are too noisy to gate on).
  *
  * Usage: bench_serve [--smoke] [--out PATH]
  */
@@ -34,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_env.hh"
 #include "graph/dataset.hh"
 #include "serve/engine.hh"
 #include "tgnn/serialize.hh"
@@ -84,6 +86,9 @@ main(int argc, char **argv)
             return 2;
         }
     }
+
+    // Read before any thread exists: it forks.
+    const std::string env = bench::envJson();
 
     // Fixed configuration, NOT env-driven: reproducibility.
     const double scale = smoke ? 400.0 : 50.0;
@@ -243,12 +248,13 @@ main(int argc, char **argv)
                      out_path.c_str());
         return 1;
     }
-    std::fprintf(f, "{\n  \"schema\": \"cascade.bench_serve.v1\",\n");
+    std::fprintf(f, "{\n  \"schema\": \"cascade.bench_serve.v2\",\n");
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(f,
                  "  \"dataset\": \"WIKI\", \"model\": \"TGN\", "
                  "\"dim\": %zu, \"seed\": %llu,\n",
                  dim, static_cast<unsigned long long>(seed));
+    std::fprintf(f, "  \"env\": %s,\n", env.c_str());
     std::fprintf(f,
                  "  \"events\": %zu, \"prefix\": %zu, "
                  "\"writer_window\": %zu, \"writer_windows\": %zu, "

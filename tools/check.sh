@@ -132,6 +132,12 @@ cmake --build --preset tsan -j "$(nproc)" --target bench_hotpath
 TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
     ./build-tsan/tools/bench_hotpath --smoke \
     --out build-tsan/BENCH_hotpath_smoke.json
+# Serve bench smoke under TSan: concurrent readers allocate their
+# query tensors while a live writer applies windows.
+cmake --build --preset tsan -j "$(nproc)" --target bench_serve
+TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
+    ./build-tsan/tools/bench_serve --smoke \
+    --out build-tsan/BENCH_serve_smoke.json
 
 # The repo benchmark at smoke size (mirrors the CI bench-smoke job):
 # metrics, span tree, determinism, gates and compare.py verdicts.
