@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "tgnn/serialize.hh"
 #include "util/logging.hh"
 #include "util/timer.hh"
 
@@ -58,15 +57,17 @@ size_t
 ServeEngine::applyEvents(size_t max_events, size_t batch)
 {
     CASCADE_CHECK(batch > 0, "serve: apply batch must be > 0");
+    // Both sums are bounded by subtraction, so counts near SIZE_MAX
+    // cannot wrap.
     const size_t start = snapshot()->appliedEvents;
     const size_t goal =
-        std::min(data_.size(), start + max_events);
+        start + std::min(max_events, data_.size() - start);
     if (goal == start)
         return 0;
     Timer t;
     size_t cur = start;
     while (cur < goal) {
-        const size_t ed = std::min(goal, cur + batch);
+        const size_t ed = cur + std::min(batch, goal - cur);
         model_.advanceState(data_, cur, ed);
         cur = ed;
     }
@@ -79,39 +80,13 @@ ServeEngine::applyEvents(size_t max_events, size_t batch)
     return cur - start;
 }
 
-ServeReader::ServeReader(ServeEngine &engine)
-    : engine_(engine),
-      replica_(engine.model().config(), engine.model().numNodes(),
-               engine.model().edgeFeatDim(), engine.model().seed())
-{
-    // Clone the trained parameters once through the serialization
-    // path (staged + shape-checked); snapshots then only carry
-    // memory/mailbox state.
-    ByteWriter w;
-    writeParametersBlob(w, engine.model().parameters());
-    ByteReader r(w.buffer());
-    CASCADE_CHECK(readParametersBlob(r, replica_.parameters()),
-                  "serve: replica parameter clone failed");
-}
-
-void
-ServeReader::sync()
-{
-    std::shared_ptr<const ServeSnapshot> newest = engine_.snapshot();
-    if (snap_ && newest->version == version_)
-        return;
-    replica_.restoreState(newest->state);
-    snap_ = std::move(newest);
-    version_ = snap_->version;
-}
-
 Tensor
 ServeReader::embed(const std::vector<NodeId> &nodes)
 {
     Timer t;
-    sync();
-    Tensor out = replica_.embedNodes(
-        nodes, snap_->lastTs, engine_.data(), engine_.adj(),
+    snap_ = engine_.snapshot();
+    Tensor out = engine_.model().embedNodes(
+        snap_->state, nodes, snap_->lastTs, engine_.data(), engine_.adj(),
         static_cast<EventIdx>(snap_->appliedEvents));
     engine_.metrics().histogram("serve.embed.seconds")
         .record(t.seconds());
@@ -123,10 +98,10 @@ ServeReader::scoreLinks(const std::vector<NodeId> &srcs,
                         const std::vector<NodeId> &dsts)
 {
     Timer t;
-    sync();
-    Tensor out = replica_.scoreLinks(
-        srcs, dsts, snap_->lastTs, engine_.data(), engine_.adj(),
-        static_cast<EventIdx>(snap_->appliedEvents));
+    snap_ = engine_.snapshot();
+    Tensor out = engine_.model().scoreLinks(
+        snap_->state, srcs, dsts, snap_->lastTs, engine_.data(),
+        engine_.adj(), static_cast<EventIdx>(snap_->appliedEvents));
     engine_.metrics().histogram("serve.score.seconds")
         .record(t.seconds());
     return out;

@@ -11,9 +11,9 @@
  *                          the event stream — and publishes immutable
  *                          ServeSnapshots after each window
  *   readers (many threads) answer embedding and link-prediction
- *                          queries against the snapshot they last
- *                          synced, each through a private model
- *                          replica (same parameters, snapshot state)
+ *                          queries through the engine's model on the
+ *                          newest snapshot's state, which each query
+ *                          pins; no reader holds a model of its own
  *
  * Publication is RCU-style: a snapshot is an immutable deep copy of
  * the memory/mailbox behind a shared_ptr swap, so readers never block
@@ -21,7 +21,9 @@
  * answers are bit-identical to offline embedNodes/scoreLinks calls on
  * a model holding the same snapshot state — the serve path adds no
  * approximation (guarded by tests/test_serve.cc and the exact_match
- * gate in BENCH_serve.json).
+ * gate in BENCH_serve.json). The query path reads only parameters and
+ * the pinned snapshot, never the live memory/mailbox the writer
+ * advances.
  *
  * Query latency lands in the engine's MetricsRegistry
  * ("serve.embed.seconds" / "serve.score.seconds" histograms, the
@@ -68,7 +70,10 @@ struct ServeSnapshot
  * Thread contract: applyEvents() and publish() may only be called
  * from one writer thread. snapshot() and the accessors are safe from
  * any thread. The wrapped model's parameters must not change while
- * the engine is live (serving draws no optimizer step).
+ * the engine is live (serving draws no optimizer step). Readers run
+ * the model's const query path on pinned snapshots while the writer
+ * advances the model's own memory/mailbox; the two share only the
+ * parameters, which neither writes.
  */
 class ServeEngine
 {
@@ -134,21 +139,21 @@ class ServeEngine
 };
 
 /**
- * Per-thread query endpoint: a private model replica (same
- * parameters as the engine's model, constructed once) that lazily
- * re-syncs its memory/mailbox whenever the engine has published a
- * newer snapshot. Queries between syncs are answered against a
- * consistent state — never a half-applied window.
+ * Per-thread query endpoint. Each query pins the newest published
+ * snapshot and answers through the engine's model on that snapshot's
+ * state (TgnnModel::embedNodes/scoreLinks read parameters and the
+ * given state only), so it sees one consistent state — never a
+ * half-applied window — and copies nothing.
  *
  * Not thread-safe; create one per reader thread.
  */
 class ServeReader
 {
   public:
-    explicit ServeReader(ServeEngine &engine);
+    explicit ServeReader(ServeEngine &engine) : engine_(engine) {}
 
     /**
-     * Embeddings for `nodes` at the synced snapshot's lastTs, seeing
+     * Embeddings for `nodes` at the pinned snapshot's lastTs, seeing
      * exactly the applied events. Bit-identical to
      * model.embedNodes(...) on a model holding the snapshot state.
      * @return |nodes| x memoryDim
@@ -156,27 +161,24 @@ class ServeReader
     Tensor embed(const std::vector<NodeId> &nodes);
 
     /** Link-prediction logits for aligned (srcs[i], dsts[i]) pairs
-     *  at the synced snapshot. @return |srcs| x 1 */
+     *  at the pinned snapshot. @return |srcs| x 1 */
     Tensor scoreLinks(const std::vector<NodeId> &srcs,
                       const std::vector<NodeId> &dsts);
 
-    /** Version of the snapshot the last query answered against. */
-    uint64_t syncedVersion() const { return version_; }
+    /** Version of the snapshot the last query answered against
+     *  (0 before the first query). */
+    uint64_t syncedVersion() const { return snap_ ? snap_->version : 0; }
 
-    /** The synced snapshot (sync happens on the next query). */
+    /** The snapshot the last query answered against (null before the
+     *  first query). */
     std::shared_ptr<const ServeSnapshot> current() const
     {
         return snap_;
     }
 
   private:
-    /** Adopt the newest published snapshot if it moved. */
-    void sync();
-
     ServeEngine &engine_;
-    TgnnModel replica_;
     std::shared_ptr<const ServeSnapshot> snap_;
-    uint64_t version_ = 0;
 };
 
 } // namespace cascade

@@ -130,8 +130,7 @@ void
 ServeSocketServer::readerMain(size_t idx)
 {
     (void)idx;
-    // One replica per thread: replica construction clones parameters,
-    // so do it once up front, not per connection.
+    // One reader per thread, kept across connections.
     ServeReader reader(engine_);
     while (!stopping_.load()) {
         // Poll with a short deadline so a stop() (or a peer's

@@ -26,10 +26,12 @@
  * the model's numNodes(), gets status 1 and the connection stays
  * open.
  *
- * Each reader thread owns a private ServeReader (replica + synced
- * snapshot), so concurrent connections never contend on model state;
- * one connection's requests are answered in order against snapshots
- * no older than the engine's at request time.
+ * Each reader thread owns a ServeReader (the snapshot it last
+ * pinned). Readers answer through the engine's model, reading only
+ * its parameters and the pinned snapshot, so concurrent connections
+ * never contend on model state; one connection's requests are
+ * answered in order against snapshots no older than the engine's at
+ * request time.
  */
 
 #ifndef CASCADE_SERVE_SERVER_HH
@@ -47,7 +49,7 @@ namespace cascade {
 struct ServeServerOptions
 {
     std::string socketPath;
-    /** Reader threads; each owns a model replica. */
+    /** Reader threads; each owns a ServeReader. */
     size_t readerThreads = 2;
     /** Per-read frame deadline AND idle-connection deadline (ms): a
      *  client that sends nothing this long is disconnected so its

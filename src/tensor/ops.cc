@@ -289,25 +289,6 @@ concatCols(const Variable &a, const Variable &b)
 }
 
 Variable
-sliceCols(const Variable &a, size_t c0, size_t c1)
-{
-    const Tensor &av = a.value();
-    CASCADE_CHECK(c0 < c1 && c1 <= av.cols(), "sliceCols bad range");
-    Tensor out(av.rows(), c1 - c0);
-    for (size_t r = 0; r < av.rows(); ++r)
-        std::copy(av.row(r) + c0, av.row(r) + c1, out.row(r));
-    NodePtr pa = a.node();
-    return makeNode(std::move(out), {pa}, [pa, c0](Node &n) {
-        if (!pa->requiresGrad)
-            return;
-        Tensor &g = pa->ensureGrad();
-        for (size_t r = 0; r < n.grad.rows(); ++r)
-            for (size_t c = 0; c < n.grad.cols(); ++c)
-                g.at(r, c0 + c) += n.grad.at(r, c);
-    });
-}
-
-Variable
 gatherRows(const Variable &a, std::vector<int64_t> rows)
 {
     const Tensor &av = a.value();
@@ -366,37 +347,6 @@ rowSum(const Variable &a)
             for (size_t c = 0; c < g.cols(); ++c)
                 grow[c] += s;
         }
-    });
-}
-
-Variable
-meanAll(const Variable &a)
-{
-    const float inv = 1.0f / static_cast<float>(a.value().size());
-    return scale(sumAll(a), inv);
-}
-
-Variable
-groupedMeanRows(const Variable &a, size_t k)
-{
-    const Tensor &av = a.value();
-    CASCADE_CHECK(k > 0 && av.rows() % k == 0,
-                  "groupedMeanRows: rows not divisible by k");
-    const size_t groups = av.rows() / k;
-    Tensor out(groups, av.cols());
-    const float inv = 1.0f / static_cast<float>(k);
-    for (size_t g = 0; g < groups; ++g)
-        for (size_t j = 0; j < k; ++j)
-            for (size_t c = 0; c < av.cols(); ++c)
-                out.at(g, c) += av.at(g * k + j, c) * inv;
-    NodePtr pa = a.node();
-    return makeNode(std::move(out), {pa}, [pa, k, inv](Node &n) {
-        if (!pa->requiresGrad)
-            return;
-        Tensor &g = pa->ensureGrad();
-        for (size_t i = 0; i < g.rows(); ++i)
-            for (size_t c = 0; c < g.cols(); ++c)
-                g.at(i, c) += n.grad.at(i / k, c) * inv;
     });
 }
 

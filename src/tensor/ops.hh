@@ -55,9 +55,6 @@ Variable square(const Variable &a);
 /** Horizontal concatenation [A | B]. */
 Variable concatCols(const Variable &a, const Variable &b);
 
-/** Columns [c0, c1) of A. */
-Variable sliceCols(const Variable &a, size_t c0, size_t c1);
-
 /** Rows selected by index (duplicates allowed; grad scatter-adds). */
 Variable gatherRows(const Variable &a, std::vector<int64_t> rows);
 
@@ -70,12 +67,6 @@ Variable sumAll(const Variable &a);
  * and a broadcast backward.
  */
 Variable rowSum(const Variable &a);
-
-/** Mean of all entries -> 1x1. */
-Variable meanAll(const Variable &a);
-
-/** Row-wise mean over groups of K consecutive rows: (B*K)xD -> BxD. */
-Variable groupedMeanRows(const Variable &a, size_t k);
 
 /**
  * Softmax within groups of K consecutive rows of a (B*K)x1 score

@@ -6,64 +6,35 @@
 
 namespace cascade {
 
-Optimizer::Optimizer(std::vector<Variable> params)
-    : params_(std::move(params))
+Adam::Adam(std::vector<Variable> params, float lr, float beta1,
+           float beta2, float eps)
+    : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
+      eps_(eps)
 {
-    for (const auto &p : params_)
+    m_.reserve(params_.size());
+    v_.reserve(params_.size());
+    for (const auto &p : params_) {
         CASCADE_CHECK(p.requiresGrad(),
                       "optimizer parameter must require grad");
+        m_.emplace_back(p.value().rows(), p.value().cols());
+        v_.emplace_back(p.value().rows(), p.value().cols());
+    }
 }
 
 void
-Optimizer::zeroGrad()
+Adam::zeroGrad()
 {
     for (auto &p : params_)
         p.zeroGrad();
 }
 
 size_t
-Optimizer::numScalars() const
+Adam::numScalars() const
 {
     size_t n = 0;
     for (const auto &p : params_)
         n += p.value().size();
     return n;
-}
-
-Sgd::Sgd(std::vector<Variable> params, float lr, float clip)
-    : Optimizer(std::move(params)), lr_(lr), clip_(clip)
-{}
-
-void
-Sgd::step()
-{
-    for (auto &p : params_) {
-        Tensor &val = p.valueMutable();
-        const Tensor &g = p.grad();
-        for (size_t i = 0; i < val.size(); ++i) {
-            float gv = g.data()[i];
-            if (clip_ > 0.0f) {
-                if (gv > clip_)
-                    gv = clip_;
-                if (gv < -clip_)
-                    gv = -clip_;
-            }
-            val.data()[i] -= lr_ * gv;
-        }
-    }
-}
-
-Adam::Adam(std::vector<Variable> params, float lr, float beta1,
-           float beta2, float eps)
-    : Optimizer(std::move(params)), lr_(lr), beta1_(beta1),
-      beta2_(beta2), eps_(eps)
-{
-    m_.reserve(params_.size());
-    v_.reserve(params_.size());
-    for (const auto &p : params_) {
-        m_.emplace_back(p.value().rows(), p.value().cols());
-        v_.emplace_back(p.value().rows(), p.value().cols());
-    }
 }
 
 void

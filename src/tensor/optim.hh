@@ -1,9 +1,7 @@
 /**
  * @file
- * First-order optimizers over Variable parameter lists.
- *
- * The paper trains with Adam (Kingma & Ba); SGD is provided for tests
- * and ablations.
+ * The optimizer over a Variable parameter list: Adam (Kingma & Ba),
+ * which the paper trains with.
  */
 
 #ifndef CASCADE_TENSOR_OPTIM_HH
@@ -16,46 +14,22 @@
 
 namespace cascade {
 
-/** Common optimizer interface. */
-class Optimizer
+/** Adam (Kingma & Ba 2014) with bias correction. */
+class Adam
 {
   public:
     /** @param params leaf Variables with requiresGrad set */
-    explicit Optimizer(std::vector<Variable> params);
-    virtual ~Optimizer() = default;
+    Adam(std::vector<Variable> params, float lr = 1e-3f,
+         float beta1 = 0.9f, float beta2 = 0.999f, float eps = 1e-8f);
 
     /** Apply one update from the parameters' current gradients. */
-    virtual void step() = 0;
+    void step();
 
     /** Zero every parameter gradient. */
     void zeroGrad();
 
     /** Parameter count (scalars) across all tensors. */
     size_t numScalars() const;
-
-  protected:
-    std::vector<Variable> params_;
-};
-
-/** Plain SGD with optional gradient clipping. */
-class Sgd : public Optimizer
-{
-  public:
-    Sgd(std::vector<Variable> params, float lr, float clip = 0.0f);
-    void step() override;
-
-  private:
-    float lr_;
-    float clip_;
-};
-
-/** Adam (Kingma & Ba 2014) with bias correction. */
-class Adam : public Optimizer
-{
-  public:
-    Adam(std::vector<Variable> params, float lr = 1e-3f,
-         float beta1 = 0.9f, float beta2 = 0.999f, float eps = 1e-8f);
-    void step() override;
 
     /**
      * @name Resume state
@@ -71,6 +45,7 @@ class Adam : public Optimizer
     /** @} */
 
   private:
+    std::vector<Variable> params_;
     float lr_, beta1_, beta2_, eps_;
     int64_t t_ = 0;
     std::vector<Tensor> m_;

@@ -28,31 +28,16 @@ uniqueNodes(std::initializer_list<const std::vector<NodeId> *> lists)
 
 } // namespace
 
-/** Exception-safe: a throwing forward leaves no dangling RNG behind. */
-class TgnnModel::RngScope
-{
-  public:
-    RngScope(TgnnModel &model, Rng &rng) : model_(model)
-    {
-        model_.extRng_ = &rng;
-    }
-    ~RngScope() { model_.extRng_ = nullptr; }
-    RngScope(const RngScope &) = delete;
-    RngScope &operator=(const RngScope &) = delete;
-
-  private:
-    TgnnModel &model_;
-};
-
 TgnnModel::TgnnModel(const ModelConfig &config, size_t num_nodes,
                      size_t edge_feat_dim, uint64_t seed)
     : config_(config), numNodes_(num_nodes), edgeFeatDim_(edge_feat_dim),
       msgDim_(config.memoryDim + edge_feat_dim),
       updInDim_(msgDim_ + config.timeDim), rng_(seed), seed_(seed),
-      memory_(num_nodes, config.memoryDim),
-      // TGAT's static memory never pushes, so its mailbox holds no node.
-      mailbox_(config.memory == MemoryKind::Identity ? 0 : num_nodes,
-               config.mailboxSlots, msgDim_)
+      state_{MemoryStore(num_nodes, config.memoryDim),
+             // TGAT's static memory never pushes, so its mailbox holds
+             // no node.
+             Mailbox(config.memory == MemoryKind::Identity ? 0 : num_nodes,
+                     config.mailboxSlots, msgDim_)}
 {
     Rng init(seed ^ 0xabcdef1234567890ULL);
     const size_t d = config_.memoryDim;
@@ -95,7 +80,7 @@ TgnnModel::TgnnModel(const ModelConfig &config, size_t num_nodes,
 
     if (config_.memory == MemoryKind::Identity) {
         Rng feat(seed_ + 1);
-        memory_.initRandom(feat, 0.1f);
+        state_.mem.initRandom(feat, 0.1f);
     }
 
     optimizer_ = std::make_unique<Adam>(parameters(), 1e-3f);
@@ -141,11 +126,11 @@ TgnnModel::stateArrays()
         add(m);
     for (Tensor &v : optimizer_->secondMoments())
         add(v);
-    add(memory_.mem_);
-    add(memory_.lastUpdate_);
-    add(mailbox_.payload_);
-    add(mailbox_.ts_);
-    add(mailbox_.count_);
+    add(state_.mem.mem_);
+    add(state_.mem.lastUpdate_);
+    add(state_.mail.payload_);
+    add(state_.mail.ts_);
+    add(state_.mail.count_);
     return out;
 }
 
@@ -235,22 +220,24 @@ TgnnModel::parameterBytes() const
 size_t
 TgnnModel::stateBytes() const
 {
-    return memory_.bytes() + mailbox_.bytes();
+    return state_.mem.bytes() + state_.mail.bytes();
 }
 
 void
 TgnnModel::resetState()
 {
-    memory_.reset();
-    mailbox_.reset();
+    state_.mem.reset();
+    state_.mail.reset();
     if (config_.memory == MemoryKind::Identity) {
         Rng feat(seed_ + 1);
-        memory_.initRandom(feat, 0.1f);
+        state_.mem.initRandom(feat, 0.1f);
     }
 }
 
 TgnnModel::FreshMemory
-TgnnModel::computeFreshMemory(const std::vector<NodeId> &nodes, double now)
+TgnnModel::computeFreshMemory(const State &state,
+                              const std::vector<NodeId> &nodes,
+                              double now) const
 {
     using namespace ops;
     FreshMemory out;
@@ -259,7 +246,7 @@ TgnnModel::computeFreshMemory(const std::vector<NodeId> &nodes, double now)
     for (size_t i = 0; i < nodes.size(); ++i)
         out.index.emplace(nodes[i], static_cast<int64_t>(i));
 
-    Variable stored(memory_.gather(nodes));
+    Variable stored(state.mem.gather(nodes));
     if (config_.memory == MemoryKind::Identity) {
         out.values = stored;
         return out;
@@ -267,7 +254,7 @@ TgnnModel::computeFreshMemory(const std::vector<NodeId> &nodes, double now)
 
     bool any = false;
     for (size_t i = 0; i < nodes.size(); ++i) {
-        if (mailbox_.hasMessages(nodes[i])) {
+        if (state.mail.hasMessages(nodes[i])) {
             out.consumed[i] = 1;
             any = true;
         }
@@ -278,7 +265,7 @@ TgnnModel::computeFreshMemory(const std::vector<NodeId> &nodes, double now)
     }
 
     const size_t slots = config_.mailboxSlots;
-    Mailbox::Gathered g = mailbox_.gather(nodes, now);
+    Mailbox::Gathered g = state.mail.gather(nodes, now);
     Variable payload(std::move(g.payloads));
     Variable x_all = concatCols(payload,
                                 timeEnc_->forward(Variable(g.dt)));
@@ -340,20 +327,21 @@ TgnnModel::computeFreshMemory(const std::vector<NodeId> &nodes, double now)
 
 std::vector<EventIdx>
 TgnnModel::sampleNeighbors(const TemporalAdjacency &adj, NodeId node,
-                           EventIdx before)
+                           EventIdx before, Rng &rng) const
 {
     if (config_.sampler == SamplerKind::MostRecent)
         return adj.lastKBefore(node, before, config_.fanout);
-    return adj.uniformKBefore(node, before, config_.fanout, activeRng());
+    return adj.uniformKBefore(node, before, config_.fanout, rng);
 }
 
 Variable
-TgnnModel::embedRows(const FreshMemory &fresh,
+TgnnModel::embedRows(const State &state, const FreshMemory &fresh,
                      const std::vector<NodeId> &row_nodes,
                      const std::vector<double> &row_times,
                      const EventSource &data,
                      const TemporalAdjacency &adj, EventIdx before,
-                     int depth, StepResult &stats, size_t row_weight)
+                     int depth, Rng &rng, StepResult &stats,
+                     size_t row_weight) const
 {
     using namespace ops;
     // Device lane width for effective-row accounting (see
@@ -374,7 +362,7 @@ TgnnModel::embedRows(const FreshMemory &fresh,
             in_fresh.at(i, 0) = 1.0f;
         } else {
             not_fresh.at(i, 0) = 1.0f;
-            stored_rows.copyRowFrom(i, memory_.raw(),
+            stored_rows.copyRowFrom(i, state.mem.raw(),
                                     static_cast<size_t>(row_nodes[i]));
             any_missing = true;
         }
@@ -394,7 +382,7 @@ TgnnModel::embedRows(const FreshMemory &fresh,
         Tensor dt(b, 1);
         for (size_t i = 0; i < b; ++i) {
             dt.at(i, 0) = static_cast<float>(
-                row_times[i] - memory_.lastUpdate(row_nodes[i]));
+                row_times[i] - state.mem.lastUpdate(row_nodes[i]));
         }
         Variable factor =
             add(Variable(Tensor::ones(b, config_.memoryDim)),
@@ -413,7 +401,7 @@ TgnnModel::embedRows(const FreshMemory &fresh,
     Tensor dt(b * k, 1);
     Tensor feats(b * k, edgeFeatDim_);
     for (size_t i = 0; i < b; ++i) {
-        auto evs = sampleNeighbors(adj, row_nodes[i], before);
+        auto evs = sampleNeighbors(adj, row_nodes[i], before, rng);
         stats.sampledNeighbors += evs.size();
         for (size_t j = 0; j < k; ++j) {
             const size_t row = i * k + j;
@@ -442,8 +430,8 @@ TgnnModel::embedRows(const FreshMemory &fresh,
         // Recursively embed neighbors with the level-1 GAT; the
         // inner level runs lane-parallel, so its rows count at a
         // wider divisor.
-        nbr_base = embedRows(fresh, nbr_nodes, nbr_times, data, adj,
-                             before, depth - 1, stats,
+        nbr_base = embedRows(state, fresh, nbr_nodes, nbr_times, data,
+                             adj, before, depth - 1, rng, stats,
                              row_weight * kLaneWidth);
     } else {
         std::vector<int64_t> idx(b * k, 0);
@@ -457,7 +445,7 @@ TgnnModel::embedRows(const FreshMemory &fresh,
                 in_f.at(r, 0) = 1.0f;
             } else {
                 not_f.at(r, 0) = 1.0f;
-                stored.copyRowFrom(r, memory_.raw(),
+                stored.copyRowFrom(r, state.mem.raw(),
                                    static_cast<size_t>(nbr_nodes[r]));
                 missing = true;
             }
@@ -502,8 +490,9 @@ TgnnModel::step(const EventSource &data, const TemporalAdjacency &adj,
 }
 
 TgnnModel::Forward
-TgnnModel::stepForward(const EventSource &data,
-                       const TemporalAdjacency &adj, size_t st, size_t ed)
+TgnnModel::stepForwardWithRng(const EventSource &data,
+                              const TemporalAdjacency &adj, size_t st,
+                              size_t ed, Rng &rng) const
 {
     using namespace ops;
     CASCADE_CHECK(st < ed && ed <= data.size(), "step: bad batch range");
@@ -519,12 +508,14 @@ TgnnModel::stepForward(const EventSource &data,
         srcs[i] = e.src;
         dsts[i] = e.dst;
         times[i] = e.ts;
-        negs[i] = static_cast<NodeId>(activeRng().uniformInt(numNodes_));
+        negs[i] = static_cast<NodeId>(rng.uniformInt(numNodes_));
     }
 
     const double t_now = times[0];
-    auto batch_nodes = uniqueNodes({&srcs, &dsts, &negs});
-    FreshMemory fresh = computeFreshMemory(batch_nodes, t_now);
+    // Sources and destinations first, so the writeback is a prefix.
+    const auto endpoints = uniqueNodes({&srcs, &dsts});
+    const auto batch_nodes = uniqueNodes({&endpoints, &negs});
+    FreshMemory fresh = computeFreshMemory(state_, batch_nodes, t_now);
 
     const int depth = config_.embed == EmbedKind::Gat2 ? 2 : 1;
     const EventIdx before = static_cast<EventIdx>(st);
@@ -533,8 +524,8 @@ TgnnModel::stepForward(const EventSource &data,
         // TGLite-style: one embedding per distinct node, gathered to
         // event rows (nodes repeated within a batch compute once).
         std::vector<double> utimes(batch_nodes.size(), t_now);
-        Variable all = embedRows(fresh, batch_nodes, utimes, data, adj,
-                                 before, depth, result);
+        Variable all = embedRows(state_, fresh, batch_nodes, utimes, data,
+                                 adj, before, depth, rng, result);
         auto rows_of = [&](const std::vector<NodeId> &v) {
             std::vector<int64_t> idx;
             idx.reserve(v.size());
@@ -546,12 +537,12 @@ TgnnModel::stepForward(const EventSource &data,
         hd = gatherRows(all, rows_of(dsts));
         hn = gatherRows(all, rows_of(negs));
     } else {
-        hs = embedRows(fresh, srcs, times, data, adj, before, depth,
-                       result);
-        hd = embedRows(fresh, dsts, times, data, adj, before, depth,
-                       result);
-        hn = embedRows(fresh, negs, times, data, adj, before, depth,
-                       result);
+        hs = embedRows(state_, fresh, srcs, times, data, adj, before,
+                       depth, rng, result);
+        hd = embedRows(state_, fresh, dsts, times, data, adj, before,
+                       depth, rng, result);
+        hn = embedRows(state_, fresh, negs, times, data, adj, before,
+                       depth, rng, result);
     }
 
     Variable pos = decoder_->forward(concatCols(hs, hd));
@@ -572,43 +563,36 @@ TgnnModel::stepForward(const EventSource &data,
     // backward) is bit-identical to the seed's post-optimizer
     // extraction because backward only ever touches gradients.
     if (config_.memory != MemoryKind::Identity) {
-        PendingWriteback &wb = fwd.writeback;
-        wb.active = true;
-        wb.st = st;
-        wb.ed = ed;
-        wb.writeTs = times[b - 1];
-        std::vector<size_t> upd_rows;
-        std::unordered_map<NodeId, char> in_batch;
-        for (size_t i = 0; i < b; ++i) {
-            in_batch.emplace(srcs[i], 1);
-            in_batch.emplace(dsts[i], 1);
-        }
-        for (size_t i = 0; i < fresh.nodes.size(); ++i) {
-            if (fresh.consumed[i] && in_batch.count(fresh.nodes[i])) {
-                wb.nodes.push_back(fresh.nodes[i]);
-                upd_rows.push_back(i);
-            }
-        }
-        if (!wb.nodes.empty()) {
-            wb.values = Tensor(wb.nodes.size(), config_.memoryDim);
-            for (size_t i = 0; i < upd_rows.size(); ++i) {
-                wb.values.copyRowFrom(i, fresh.values.value(),
-                                      upd_rows[i]);
-            }
-        }
+        fwd.writeback = stageWriteback(fresh, endpoints.size(), st, ed,
+                                       times[b - 1]);
     }
 
     fwd.loss = std::move(loss);
     return fwd;
 }
 
-TgnnModel::Forward
-TgnnModel::stepForwardWithRng(const EventSource &data,
-                              const TemporalAdjacency &adj, size_t st,
-                              size_t ed, Rng &rng)
+TgnnModel::PendingWriteback
+TgnnModel::stageWriteback(const FreshMemory &fresh, size_t endpoints,
+                          size_t st, size_t ed, double write_ts) const
 {
-    RngScope scope(*this, rng);
-    return stepForward(data, adj, st, ed);
+    PendingWriteback wb;
+    wb.active = true;
+    wb.st = st;
+    wb.ed = ed;
+    wb.writeTs = write_ts;
+    std::vector<size_t> upd_rows;
+    for (size_t i = 0; i < endpoints; ++i) {
+        if (fresh.consumed[i]) {
+            wb.nodes.push_back(fresh.nodes[i]);
+            upd_rows.push_back(i);
+        }
+    }
+    if (!wb.nodes.empty()) {
+        wb.values = Tensor(wb.nodes.size(), config_.memoryDim);
+        for (size_t i = 0; i < upd_rows.size(); ++i)
+            wb.values.copyRowFrom(i, fresh.values.value(), upd_rows[i]);
+    }
+    return wb;
 }
 
 std::vector<float>
@@ -673,7 +657,7 @@ TgnnModel::applyWriteback(const EventSource &data, PendingWriteback &wb)
 
     // Write back consumed memories (recording SG-Filter cosines).
     if (!wb.nodes.empty())
-        cosines = memory_.write(wb.nodes, wb.values, wb.writeTs);
+        cosines = state_.mem.write(wb.nodes, wb.values, wb.writeTs);
 
     // Generate this batch's messages (Eq. 2): payload is the other
     // endpoint's current memory (post-writeback) plus edge features.
@@ -685,13 +669,13 @@ TgnnModel::applyWriteback(const EventSource &data, PendingWriteback &wb)
             : nullptr;
         auto fill = [&](NodeId to, NodeId other) {
             const float *om =
-                memory_.raw().row(static_cast<size_t>(other));
+                state_.mem.raw().row(static_cast<size_t>(other));
             std::copy(om, om + config_.memoryDim, payload.row(0));
             if (feat) {
                 std::copy(feat, feat + edgeFeatDim_,
                           payload.row(0) + config_.memoryDim);
             }
-            mailbox_.push(to, payload.row(0), e.ts);
+            state_.mail.push(to, payload.row(0), e.ts);
         };
         fill(e.src, e.dst);
         fill(e.dst, e.src);
@@ -720,26 +704,10 @@ TgnnModel::advanceState(const EventSource &data, size_t st, size_t ed)
     // Identical per-node math to stepForward's writeback staging: the
     // negatives it adds to the fresh set never enter the writeback,
     // and per-node fresh values are independent of set membership.
-    auto batch_nodes = uniqueNodes({&srcs, &dsts});
-    FreshMemory fresh = computeFreshMemory(batch_nodes, times[0]);
-
-    PendingWriteback wb;
-    wb.active = true;
-    wb.st = st;
-    wb.ed = ed;
-    wb.writeTs = times[b - 1];
-    std::vector<size_t> upd_rows;
-    for (size_t i = 0; i < fresh.nodes.size(); ++i) {
-        if (fresh.consumed[i]) {
-            wb.nodes.push_back(fresh.nodes[i]);
-            upd_rows.push_back(i);
-        }
-    }
-    if (!wb.nodes.empty()) {
-        wb.values = Tensor(wb.nodes.size(), config_.memoryDim);
-        for (size_t i = 0; i < upd_rows.size(); ++i)
-            wb.values.copyRowFrom(i, fresh.values.value(), upd_rows[i]);
-    }
+    const auto endpoints = uniqueNodes({&srcs, &dsts});
+    FreshMemory fresh = computeFreshMemory(state_, endpoints, times[0]);
+    PendingWriteback wb =
+        stageWriteback(fresh, endpoints.size(), st, ed, times[b - 1]);
     applyWriteback(data, wb);
 }
 
@@ -750,43 +718,47 @@ TgnnModel::evalLoss(const EventSource &data, const TemporalAdjacency &adj,
     return evalMetrics(data, adj, st, ed, batch_size).loss;
 }
 
-Tensor
-TgnnModel::embedNodes(const std::vector<NodeId> &nodes, double at_time,
-                      const EventSource &data,
-                      const TemporalAdjacency &adj, EventIdx before)
+std::vector<Variable>
+TgnnModel::queryEmbeddings(
+    const State &state,
+    std::initializer_list<const std::vector<NodeId> *> lists,
+    double at_time, const EventSource &data, const TemporalAdjacency &adj,
+    EventIdx before) const
 {
-    CASCADE_CHECK(!nodes.empty(), "embedNodes: empty node list");
     Rng query_rng(static_cast<uint64_t>(before));
-    RngScope scope(*this, query_rng);
-    FreshMemory fresh = computeFreshMemory(nodes, at_time);
-    std::vector<double> times(nodes.size(), at_time);
     StepResult scratch;
     const int depth = config_.embed == EmbedKind::Gat2 ? 2 : 1;
-    Variable h = embedRows(fresh, nodes, times, data, adj, before,
-                           depth, scratch);
-    return h.value();
+    std::vector<Variable> out;
+    for (const auto *nodes : lists) {
+        FreshMemory fresh = computeFreshMemory(state, *nodes, at_time);
+        const std::vector<double> times(nodes->size(), at_time);
+        out.push_back(embedRows(state, fresh, *nodes, times, data, adj,
+                                before, depth, query_rng, scratch));
+    }
+    return out;
 }
 
 Tensor
-TgnnModel::scoreLinks(const std::vector<NodeId> &srcs,
+TgnnModel::embedNodes(const State &state, const std::vector<NodeId> &nodes,
+                      double at_time, const EventSource &data,
+                      const TemporalAdjacency &adj, EventIdx before) const
+{
+    CASCADE_CHECK(!nodes.empty(), "embedNodes: empty node list");
+    return queryEmbeddings(state, {&nodes}, at_time, data, adj, before)[0]
+        .value();
+}
+
+Tensor
+TgnnModel::scoreLinks(const State &state, const std::vector<NodeId> &srcs,
                       const std::vector<NodeId> &dsts, double at_time,
                       const EventSource &data,
-                      const TemporalAdjacency &adj, EventIdx before)
+                      const TemporalAdjacency &adj, EventIdx before) const
 {
     CASCADE_CHECK(!srcs.empty() && srcs.size() == dsts.size(),
                   "scoreLinks: need equal, non-empty endpoint lists");
-    Rng query_rng(static_cast<uint64_t>(before));
-    RngScope scope(*this, query_rng);
-    FreshMemory fs = computeFreshMemory(srcs, at_time);
-    FreshMemory fd = computeFreshMemory(dsts, at_time);
-    std::vector<double> times(srcs.size(), at_time);
-    StepResult scratch;
-    const int depth = config_.embed == EmbedKind::Gat2 ? 2 : 1;
-    Variable hs = embedRows(fs, srcs, times, data, adj, before, depth,
-                            scratch);
-    Variable hd = embedRows(fd, dsts, times, data, adj, before, depth,
-                            scratch);
-    return decoder_->forward(ops::concatCols(hs, hd)).value();
+    const std::vector<Variable> h =
+        queryEmbeddings(state, {&srcs, &dsts}, at_time, data, adj, before);
+    return decoder_->forward(ops::concatCols(h[0], h[1])).value();
 }
 
 TgnnModel::EvalMetrics

@@ -21,6 +21,7 @@
 #ifndef CASCADE_TGNN_MODEL_HH
 #define CASCADE_TGNN_MODEL_HH
 
+#include <initializer_list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -136,13 +137,16 @@ class TgnnModel
     };
 
     /**
-     * The decomposed step() — forward only. Reads memory/mailbox and
-     * draws from the sampling RNG; must not run concurrently with
-     * applyWriteback.
+     * The decomposed step() — forward only: stepForwardWithRng drawing
+     * from the model's own sampling RNG. Must not run concurrently
+     * with applyWriteback.
      */
-    Forward stepForward(const EventSource &data,
-                        const TemporalAdjacency &adj, size_t st,
-                        size_t ed);
+    Forward
+    stepForward(const EventSource &data, const TemporalAdjacency &adj,
+                size_t st, size_t ed)
+    {
+        return stepForwardWithRng(data, adj, st, ed, rng_);
+    }
 
     /** stepForward() over a resident sequence. */
     Forward
@@ -153,24 +157,24 @@ class TgnnModel
     }
 
     /**
-     * stepForward drawing negatives and neighbor samples from `rng`
-     * instead of the model's own sampling RNG. The sharded trainer
-     * (train/shard.hh) seeds one RNG per (batch, shard), which makes
-     * a shard's forward a pure function of the replica state and the
-     * shard id — the property that lets any worker (or the master,
-     * after a worker death) recompute it bit-identically. The model's
-     * internal RNG state is not advanced.
+     * The forward pass over [st, ed): reads the model's memory and
+     * mailbox and draws negatives and neighbor samples from `rng`
+     * alone. The sharded trainer (train/shard.hh) seeds one RNG per
+     * (batch, shard), which makes a shard's forward a pure function
+     * of the replica state and the shard id — the property that lets
+     * any worker (or the master, after a worker death) recompute it
+     * bit-identically.
      */
     CASCADE_TRAJECTORY
     Forward stepForwardWithRng(const EventSource &data,
                                const TemporalAdjacency &adj, size_t st,
-                               size_t ed, Rng &rng);
+                               size_t ed, Rng &rng) const;
 
     /** stepForwardWithRng() over a resident sequence. */
     Forward
     stepForwardWithRng(const EventSequence &data,
                        const TemporalAdjacency &adj, size_t st,
-                       size_t ed, Rng &rng)
+                       size_t ed, Rng &rng) const
     {
         return stepForwardWithRng(VectorEventSource(data), adj, st, ed,
                                   rng);
@@ -265,12 +269,21 @@ class TgnnModel
                            batch_size);
     }
 
+    /** Node memory and mailbox: the temporal state a forward reads. */
+    struct State
+    {
+        MemoryStore mem;
+        Mailbox mail;
+    };
+
     /**
-     * Inference-time node embeddings (Eq. 4) for downstream tasks
-     * (e.g. node classification probes): consumes pending mailbox
-     * messages into fresh memories, embeds with the model's GNN
-     * module, and returns detached values. Model state is not
-     * modified.
+     * Inference-time node embeddings (Eq. 4) on `state` for downstream
+     * tasks (e.g. node classification probes, serve readers):
+     * consumes `state`'s pending mailbox messages into fresh
+     * memories, embeds with the model's GNN module, and returns
+     * detached values. Reads parameters and `state` only, so any
+     * number of threads may query one model while its own state
+     * advances.
      *
      * Uniform neighbor samples come from an RNG seeded from `before`
      * alone, never the training RNG, so the answer depends only on
@@ -281,15 +294,24 @@ class TgnnModel
      * @param before  only events with index < before are visible
      * @return |nodes| x memoryDim embedding matrix
      */
-    Tensor embedNodes(const std::vector<NodeId> &nodes, double at_time,
-                      const EventSource &data,
-                      const TemporalAdjacency &adj, EventIdx before);
+    Tensor embedNodes(const State &state, const std::vector<NodeId> &nodes,
+                      double at_time, const EventSource &data,
+                      const TemporalAdjacency &adj, EventIdx before) const;
+
+    /** embedNodes() on the model's own state. */
+    Tensor
+    embedNodes(const std::vector<NodeId> &nodes, double at_time,
+               const EventSource &data, const TemporalAdjacency &adj,
+               EventIdx before) const
+    {
+        return embedNodes(state_, nodes, at_time, data, adj, before);
+    }
 
     /** embedNodes() over a resident sequence. */
     Tensor
     embedNodes(const std::vector<NodeId> &nodes, double at_time,
                const EventSequence &data, const TemporalAdjacency &adj,
-               EventIdx before)
+               EventIdx before) const
     {
         return embedNodes(nodes, at_time, VectorEventSource(data), adj,
                           before);
@@ -297,42 +319,42 @@ class TgnnModel
 
     /**
      * Link-prediction logits for the aligned pairs (srcs[i],
-     * dsts[i]) at `at_time`: the embedNodes embedding path for both
-     * endpoints followed by the trained decoder — the serve engine's
-     * query readout. Like embedNodes it samples from an RNG seeded
-     * from `before` alone and mutates no state, so repeated calls
-     * over one snapshot are bit-identical.
+     * dsts[i]) at `at_time` on `state`: the embedNodes embedding path
+     * for both endpoints followed by the trained decoder — the serve
+     * reader's query readout. Like embedNodes it reads parameters and
+     * `state` only and samples from an RNG seeded from `before` alone,
+     * so repeated calls over one snapshot are bit-identical.
      * @return |srcs| x 1 logit column
      */
-    Tensor scoreLinks(const std::vector<NodeId> &srcs,
+    Tensor scoreLinks(const State &state, const std::vector<NodeId> &srcs,
                       const std::vector<NodeId> &dsts, double at_time,
                       const EventSource &data,
-                      const TemporalAdjacency &adj, EventIdx before);
+                      const TemporalAdjacency &adj, EventIdx before) const;
+
+    /** scoreLinks() on the model's own state. */
+    Tensor
+    scoreLinks(const std::vector<NodeId> &srcs,
+               const std::vector<NodeId> &dsts, double at_time,
+               const EventSource &data, const TemporalAdjacency &adj,
+               EventIdx before) const
+    {
+        return scoreLinks(state_, srcs, dsts, at_time, data, adj, before);
+    }
 
     /** Re-zero memory/mailbox (fresh epoch). */
     void resetState();
 
-    /** Mutable state snapshot for validation runs. */
-    struct State
-    {
-        MemoryStore mem;
-        Mailbox mail;
-    };
-    State saveState() const { return {memory_, mailbox_}; }
+    /** Copy of the model's state (validation runs, serve snapshots). */
+    State saveState() const { return state_; }
 
     /**
      * Copy a snapshot into this model's memory and mailbox. The
      * arrays are copy-assigned in place, so a snapshot of this
      * model's shape allocates nothing.
      */
-    void
-    restoreState(const State &s)
-    {
-        memory_ = s.mem;
-        mailbox_ = s.mail;
-    }
+    void restoreState(const State &s) { state_ = s; }
 
-    const MemoryStore &memory() const { return memory_; }
+    const MemoryStore &memory() const { return state_.mem; }
     const ModelConfig &config() const { return config_; }
 
     /** Node universe size (replica construction; train/shard.hh). */
@@ -407,33 +429,53 @@ class TgnnModel
         std::vector<char> consumed;    ///< had pending messages
         std::unordered_map<NodeId, int64_t> index;
     };
-    FreshMemory computeFreshMemory(const std::vector<NodeId> &nodes,
-                                   double now);
+    FreshMemory computeFreshMemory(const State &state,
+                                   const std::vector<NodeId> &nodes,
+                                   double now) const;
 
     /**
-     * Embed rows of nodes at per-row times (Eq. 4).
+     * Embed rows of nodes at per-row times (Eq. 4) on `state`,
+     * sampling neighbors from `rng`.
      * @param row_weight divisor applied to this level's work-row
      *                   accounting (inner GAT levels run lane-
      *                   parallel on the device, so recursion widens
      *                   the divisor by the lane width)
      */
-    Variable embedRows(const FreshMemory &fresh,
+    Variable embedRows(const State &state, const FreshMemory &fresh,
                        const std::vector<NodeId> &row_nodes,
                        const std::vector<double> &row_times,
                        const EventSource &data,
                        const TemporalAdjacency &adj, EventIdx before,
-                       int depth, StepResult &stats,
-                       size_t row_weight = 1);
+                       int depth, Rng &rng, StepResult &stats,
+                       size_t row_weight = 1) const;
 
     /** Sample fanout neighbor events for one node. */
     std::vector<EventIdx> sampleNeighbors(const TemporalAdjacency &adj,
-                                          NodeId node, EventIdx before);
+                                          NodeId node, EventIdx before,
+                                          Rng &rng) const;
 
-    /** Sampling RNG for the current forward (external override). */
-    Rng &activeRng() { return extRng_ ? *extRng_ : rng_; }
+    /**
+     * The deferred writeback of a batch over [st, ed): the fresh rows
+     * among the first `endpoints` (the batch's sources and
+     * destinations, which computeFreshMemory's node list starts with)
+     * that consumed messages.
+     */
+    PendingWriteback stageWriteback(const FreshMemory &fresh,
+                                    size_t endpoints, size_t st,
+                                    size_t ed, double write_ts) const;
 
-    /** Makes an external RNG the sampling RNG until scope exit. */
-    class RngScope;
+    /**
+     * The one query readout behind embedNodes and scoreLinks:
+     * embeddings of each node list on `state` at `at_time`, drawing
+     * uniform neighbor samples, list after list, from one RNG seeded
+     * from `before` alone.
+     */
+    CASCADE_TRAJECTORY
+    std::vector<Variable>
+    queryEmbeddings(const State &state,
+                    std::initializer_list<const std::vector<NodeId> *> lists,
+                    double at_time, const EventSource &data,
+                    const TemporalAdjacency &adj, EventIdx before) const;
 
     ModelConfig config_;
     size_t numNodes_;
@@ -441,15 +483,9 @@ class TgnnModel
     size_t msgDim_;     ///< mailbox payload width
     size_t updInDim_;   ///< UPDT input width
     Rng rng_;
-    /**
-     * Non-null only inside stepForwardWithRng and the query readouts
-     * (never serialized).
-     */
-    Rng *extRng_ = nullptr;
     uint64_t seed_;
 
-    MemoryStore memory_;
-    Mailbox mailbox_;
+    State state_;
 
     // Modules (constructed per config; unused ones stay null).
     std::unique_ptr<TimeEncoding> timeEnc_;

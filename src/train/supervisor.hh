@@ -6,7 +6,7 @@
  * reason outside the program (a full or refusing disk), so it is the
  * one stage the TrainingSession runs under a Supervisor:
  *
- *   RetryPolicy    — a constant backoff schedule: baseDelayMs, doubled
+ *   RetryPolicy    — an unjittered backoff schedule: baseDelayMs, doubled
  *                    per retry, capped at kMaxDelayMs. Two runs with
  *                    the same options and the same fault plan retry at
  *                    the same attempts with the same delays, so

@@ -38,6 +38,8 @@
  *  - kernels::gemm / gemmAcc — the fixed-p-order parallel reductions
  *  - saveCheckpointRotated / saveModel — checkpoint serialization
  *  - ServeEngine::applyEvents — the serve snapshot writer
+ *  - TgnnModel::queryEmbeddings — the one query readout behind
+ *    embedNodes / scoreLinks (serve answers are byte-compared)
  *
  * Observability (src/obs/, util/timer.hh, util/logging.hh) is
  * explicitly OUTSIDE the contract: metrics, traces and logs may read

@@ -1,7 +1,7 @@
 /**
  * @file
- * Optimizer tests: SGD/Adam reduce simple objectives, bias correction
- * behaves, gradient clipping clips, zeroGrad clears.
+ * Optimizer tests: Adam reduces simple objectives, bias correction
+ * behaves, zeroGrad clears, scalars are counted.
  */
 
 #include <gtest/gtest.h>
@@ -23,32 +23,6 @@ quadratic(const Variable &x, const Tensor &target)
 }
 
 } // namespace
-
-TEST(Sgd, ConvergesOnQuadratic)
-{
-    Tensor target(1, 3, {1.0f, -2.0f, 0.5f});
-    Variable x(Tensor::zeros(1, 3), true);
-    Sgd opt({x}, 0.1f);
-    for (int i = 0; i < 200; ++i) {
-        opt.zeroGrad();
-        quadratic(x, target).backward();
-        opt.step();
-    }
-    for (size_t c = 0; c < 3; ++c)
-        EXPECT_NEAR(x.value().at(0, c), target.at(0, c), 1e-3);
-}
-
-TEST(Sgd, ClippingBoundsTheStep)
-{
-    Tensor target(1, 1, {1000.0f});
-    Variable x(Tensor::zeros(1, 1), true);
-    Sgd opt({x}, 1.0f, /*clip=*/0.5f);
-    opt.zeroGrad();
-    quadratic(x, target).backward();
-    opt.step();
-    // Unclipped gradient is -2000; clipped to -0.5 => step +0.5.
-    EXPECT_NEAR(x.value().at(0, 0), 0.5f, 1e-5);
-}
 
 TEST(Adam, ConvergesOnQuadratic)
 {
@@ -98,7 +72,7 @@ TEST(Adam, HandlesMultipleParameterTensors)
 TEST(Optimizer, ZeroGradClearsAllParameters)
 {
     Variable x(Tensor::ones(2, 2), true);
-    Sgd opt({x}, 0.1f);
+    Adam opt({x}, 0.1f);
     sumAll(square(x)).backward();
     EXPECT_GT(x.grad().maxAbs(), 0.0f);
     opt.zeroGrad();
@@ -109,6 +83,6 @@ TEST(Optimizer, CountsScalars)
 {
     Variable a(Tensor::zeros(3, 4), true);
     Variable b(Tensor::zeros(1, 5), true);
-    Sgd opt({a, b}, 0.1f);
+    Adam opt({a, b}, 0.1f);
     EXPECT_EQ(opt.numScalars(), 17u);
 }

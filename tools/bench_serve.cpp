@@ -3,9 +3,10 @@
  * Serving-path benchmark (README "Benchmarking the serve path").
  *
  * Drives the in-process serve engine (serve/engine.hh) the way
- * cascade_serve's socket threads do — N reader threads with private
- * model replicas answering embedding and link-score queries while a
- * single writer applies the live suffix window by window — and
+ * cascade_serve's socket threads do — N reader threads answering
+ * embedding and link-score queries through the engine's one model on
+ * the snapshot each query pins, while a single writer applies the
+ * live suffix window by window — and
  * measures client-observed latency exactly (every query timed, p50/p99
  * from the sorted sample set, no bucketing error).
  *

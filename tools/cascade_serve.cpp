@@ -11,7 +11,7 @@
  * of the live feed — the main thread is the single writer, applying
  * --window events every --apply-interval-ms and publishing a fresh
  * snapshot after each window, while --reader-threads answer queries
- * against their last-synced snapshot.
+ * through the same model on the newest snapshot each query pins.
  *
  * The event stream comes from the same EventSource abstraction as
  * training: an in-memory generated dataset by default, or an mmap'd
@@ -82,7 +82,7 @@ declareFlags(cli::FlagSet &flags, CliOptions &o)
     flags.flagString("--socket", &o.socketPath, "PATH",
                      "unix-domain socket to listen on");
     flags.flagInt("--reader-threads", &o.readerThreads, "N",
-                  "query threads (one model replica each)");
+                  "query threads (each answers on the newest snapshot)");
     flags.flagInt("--window", &o.window, "N",
                   "live events applied per writer window");
     flags.flagInt("--apply-interval-ms", &o.applyIntervalMs, "MS",

@@ -132,8 +132,9 @@ cmake --build --preset tsan -j "$(nproc)" --target bench_hotpath
 TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
     ./build-tsan/tools/bench_hotpath --smoke \
     --out build-tsan/BENCH_hotpath_smoke.json
-# Serve bench smoke under TSan: concurrent readers allocate their
-# query tensors while a live writer applies windows.
+# Serve bench smoke under TSan: concurrent readers query through the
+# engine's one model on pinned snapshots while a live writer advances
+# that model's state and publishes windows.
 cmake --build --preset tsan -j "$(nproc)" --target bench_serve
 TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
     ./build-tsan/tools/bench_serve --smoke \
